@@ -1,55 +1,30 @@
 //! Checker tiers on heavy-traffic traces: the online incremental checker
-//! versus repeated batch re-checks, and the sharded batch checker across
-//! worker-thread counts.
+//! versus repeated batch re-checks.
 //!
 //! The headline numbers — amortized per-event cost of the online checker
 //! (a verdict after *every* push, riding the dirty-tracked aggregate)
 //! against the mean cost of one batch re-check on a 10k-event trace, plus
-//! a 1/2/4/8-worker batch-check scaling series and an end-to-end
-//! **pipeline axis** (record + online verdict through the ledger, both
-//! the single-thread monitor and [`PipelinedMonitor`] worker/window
-//! sweeps, DESIGN.md §12) — are measured directly (not through
-//! criterion) and written to `BENCH_checker.json` at the workspace root,
-//! so the speedup is recorded as a machine-readable artifact. The
-//! measurement (and the file rewrite) only runs when the
-//! `EMIT_BENCH_JSON` environment variable is set.
+//! an end-to-end **record + online verdict** axis through the ledger's
+//! monitor and a batched-vs-per-event ingest comparison — are measured
+//! directly (not through criterion) and written to `BENCH_checker.json`
+//! at the workspace root, so the speedup is recorded as a
+//! machine-readable artifact. The measurement (and the file rewrite) only
+//! runs when the `EMIT_BENCH_JSON` environment variable is set.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
 use xability_bench::n_retried_requests;
-use xability_core::xable::{Checker, FastChecker, IncrementalChecker, SearchBudget};
-use xability_core::{ActionId, ActionName, Event, History, Request, Value};
-use xability_services::pipeline::{PipelinedMonitor, DEFAULT_WINDOW};
+use xability_core::xable::{Checker, FastChecker, IncrementalChecker};
+use xability_core::{ActionId, Event, History, Request, Value};
 use xability_services::Ledger;
 use xability_sim::SimTime;
-use xability_store::TraceStore;
 
 fn requests_of(ops: &[(ActionId, Value)]) -> Vec<Request> {
     ops.iter()
         .map(|(a, iv)| Request::new(a.clone(), iv.clone()))
         .collect()
-}
-
-/// A trace of `n` sequential idempotent requests, each with `retries`
-/// failed attempts before the success — heavier per-group searches than
-/// [`n_retried_requests`], which is what the sharded batch check needs to
-/// amortize its fan-out.
-fn n_heavy_requests(n: usize, retries: usize) -> (History, Vec<(ActionId, Value)>) {
-    let a = ActionId::base(ActionName::idempotent("put"));
-    let mut events = Vec::with_capacity(n * (retries + 2));
-    let mut ops = Vec::with_capacity(n);
-    for i in 0..n {
-        let key = Value::from(format!("r{i}"));
-        for _ in 0..retries {
-            events.push(Event::start(a.clone(), key.clone()));
-        }
-        events.push(Event::start(a.clone(), key.clone()));
-        events.push(Event::complete(a.clone(), Value::from(i as i64)));
-        ops.push((a.clone(), key));
-    }
-    (History::from_events(events), ops)
 }
 
 /// One full online pass: declare the requests, push every event, read the
@@ -114,79 +89,7 @@ fn bench_batch_recheck(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sharded_batch(c: &mut Criterion) {
-    // One full batch check, group searches fanned out over scoped worker
-    // threads. The verdict is bit-identical for every worker count
-    // (tests/checker_scaling.rs); only the wall clock may differ.
-    let mut group = c.benchmark_group("checker_sharded_batch_check");
-    group.sample_size(10);
-    let checker = FastChecker::default();
-    let (h, ops) = n_heavy_requests(400, 5);
-    let requests = requests_of(&ops);
-    for workers in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    black_box(
-                        checker
-                            .check_requests_sharded(black_box(&h), &requests, workers)
-                            .is_xable(),
-                    )
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-/// One end-to-end pipelined pass outside the ledger: observe + push +
-/// publish in batches, a final merged verdict. Returns whether the
-/// trace was x-able (it must be).
-fn pipelined_pass(events: &[Event], ops: &[(ActionId, Value)], workers: usize) -> bool {
-    let mut store = TraceStore::new();
-    let mut pipe = PipelinedMonitor::new(workers);
-    for (a, iv) in ops {
-        pipe.declare(a.clone(), iv.clone());
-    }
-    for batch in events.chunks(256) {
-        pipe.observe_batch(batch);
-        store.push_batch(batch);
-        pipe.publish(&store);
-    }
-    pipe.verdict_over(&store).is_xable()
-}
-
-fn bench_pipeline(c: &mut Criterion) {
-    // End-to-end pipelined record+verdict across worker counts. The
-    // verdict is byte-identical at every count (tests/pipeline_props.rs);
-    // only the wall clock may differ. Each iteration spawns and joins the
-    // decide workers, so this also prices the setup cost a short-lived
-    // monitor pays.
-    let mut group = c.benchmark_group("checker_pipelined_end_to_end");
-    group.sample_size(10);
-    let (h, ops) = n_retried_requests(300);
-    let events: Vec<Event> = h.iter().cloned().collect();
-    for workers in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| black_box(pipelined_pass(black_box(&events), &ops, workers)));
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_incremental,
-    bench_batch_recheck,
-    bench_sharded_batch,
-    bench_pipeline
-);
+criterion_group!(benches, bench_incremental, bench_batch_recheck);
 
 /// Measures the headline comparisons on 10k-event traces and writes
 /// `BENCH_checker.json`. Skipped in `cargo test` smoke mode so the
@@ -219,105 +122,61 @@ fn emit_bench_json() {
     let batch_mean_check_ns = batch_total_ns as f64 / CHECKPOINTS as f64;
     assert!(online_ok && batch_ok, "the generated trace must be x-able");
 
-    // Sharded: one full batch check across 1/2/4/8 workers on a trace
-    // with heavier per-group searches (median of 3 runs per point).
-    let (sh, sops) = n_heavy_requests(1_429, 5); // ≈10k events
-    let srequests = requests_of(&sops);
-    let mut sharded_points = String::new();
-    let mut sharded_ns: Vec<(usize, u128)> = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let mut runs: Vec<u128> = (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                let ok = checker
-                    .check_requests_sharded(&sh, &srequests, workers)
-                    .is_xable();
-                assert!(ok, "the sharded trace must be x-able");
-                start.elapsed().as_nanos()
-            })
-            .collect();
-        runs.sort_unstable();
-        let median = runs[1];
-        sharded_ns.push((workers, median));
-        if !sharded_points.is_empty() {
-            sharded_points.push_str(", ");
-        }
-        sharded_points.push_str(&format!(
-            "{{ \"workers\": {workers}, \"check_ns\": {median} }}"
-        ));
-    }
-    let one_worker_ns = sharded_ns[0].1 as f64;
-    let best = sharded_ns
-        .iter()
-        .copied()
-        .min_by_key(|&(_, ns)| ns)
-        .expect("non-empty series");
-    let parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-
-    // Pipeline axis: end-to-end record + online verdict through the
-    // ledger (the DESIGN.md §12 posture) — a single-thread baseline,
-    // then the pipelined monitor across worker counts and window sizes.
-    const PIPE_REQUESTS: usize = 30_000; // × 3 events per request
-    const PIPE_BATCH: usize = 1024;
+    // End-to-end record + online verdict through the ledger's monitor.
+    const LEDGER_REQUESTS: usize = 30_000; // × 3 events per request
+    const RECORD_BATCH: usize = 1024;
     const VERDICT_EVERY: usize = 32;
-    let (ph, pops) = n_retried_requests(PIPE_REQUESTS);
-    let pevents: Vec<Event> = ph.iter().cloned().collect();
-    let prequests = requests_of(&pops);
+    let (lh, lops) = n_retried_requests(LEDGER_REQUESTS);
+    let levents: Vec<Event> = lh.iter().cloned().collect();
+    let lrequests = requests_of(&lops);
 
     // Batched records, an online verdict every VERDICT_EVERY batches, a
-    // final verdict. Returns events/s.
-    let run_ledger = |mut ledger: Ledger| -> f64 {
-        let start = Instant::now();
-        for (k, batch) in pevents.chunks(PIPE_BATCH).enumerate() {
-            ledger.record_batch(batch, SimTime::ZERO, "bench");
-            if k % VERDICT_EVERY == VERDICT_EVERY - 1 {
-                let _ = black_box(ledger.monitor_verdict().expect("monitor attached"));
-            }
-        }
-        let ok = ledger
-            .monitor_verdict()
-            .expect("monitor attached")
-            .is_xable();
-        let elapsed = start.elapsed();
-        assert!(ok, "the pipeline trace must be x-able");
-        pevents.len() as f64 / elapsed.as_secs_f64()
-    };
-
-    // Single-thread baseline: median of 3 runs of the sequential monitor.
-    let mut seq_runs: Vec<f64> = (0..3)
+    // final verdict; events/s, median of 3 runs.
+    let mut runs: Vec<f64> = (0..3)
         .map(|_| {
             let mut ledger = Ledger::new();
-            ledger.declare_requests(&prequests);
-            run_ledger(ledger)
+            ledger.declare_requests(&lrequests);
+            let start = Instant::now();
+            for (k, batch) in levents.chunks(RECORD_BATCH).enumerate() {
+                ledger.record_batch(batch, SimTime::ZERO, "bench");
+                if k % VERDICT_EVERY == VERDICT_EVERY - 1 {
+                    let _ = black_box(ledger.monitor_verdict().expect("monitor attached"));
+                }
+            }
+            let ok = ledger
+                .monitor_verdict()
+                .expect("monitor attached")
+                .is_xable();
+            let elapsed = start.elapsed();
+            assert!(ok, "the record+verdict trace must be x-able");
+            levents.len() as f64 / elapsed.as_secs_f64()
         })
         .collect();
-    seq_runs.sort_by(f64::total_cmp);
-    let single_thread = seq_runs[1];
+    runs.sort_by(f64::total_cmp);
+    let events_per_sec = runs[1];
 
     // Batch-vs-per-event ingest (no periodic verdicts): the monitor path
     // of `record_batch` must ride `observe_batch`, so batched ingest may
     // never be slower than per-event ingest (beyond timer noise).
     let ingest_batch_ns = {
         let mut ledger = Ledger::new();
-        ledger.declare_requests(&prequests);
+        ledger.declare_requests(&lrequests);
         let start = Instant::now();
-        for batch in pevents.chunks(PIPE_BATCH) {
+        for batch in levents.chunks(RECORD_BATCH) {
             ledger.record_batch(batch, SimTime::ZERO, "bench");
         }
-        let ns = start.elapsed().as_nanos() as f64 / pevents.len() as f64;
+        let ns = start.elapsed().as_nanos() as f64 / levents.len() as f64;
         black_box(ledger.monitor_verdict());
         ns
     };
     let ingest_per_event_ns = {
         let mut ledger = Ledger::new();
-        ledger.declare_requests(&prequests);
+        ledger.declare_requests(&lrequests);
         let start = Instant::now();
-        for ev in &pevents {
+        for ev in &levents {
             ledger.record_event(ev.clone(), SimTime::ZERO, "bench");
         }
-        let ns = start.elapsed().as_nanos() as f64 / pevents.len() as f64;
+        let ns = start.elapsed().as_nanos() as f64 / levents.len() as f64;
         black_box(ledger.monitor_verdict());
         ns
     };
@@ -329,70 +188,6 @@ fn emit_bench_json() {
          expected to ride observe_batch's amortized dirty sets"
     );
 
-    // Worker sweep at the default window, then a window sweep at 4
-    // workers. One run per point: the pipelined passes are the slowest
-    // part of this emit, and the artifact records available_parallelism
-    // so a 1-core number is legible as serialized re-ingest.
-    let mut worker_points = String::new();
-    let mut best_pipe: Option<(usize, f64)> = None;
-    for workers in [1usize, 2, 4, 8] {
-        let mut ledger = Ledger::without_monitor();
-        ledger
-            .attach_pipelined_monitor(workers)
-            .expect("fresh ledger has no monitor");
-        ledger.declare_requests(&prequests);
-        let rate = run_ledger(ledger);
-        if best_pipe.map_or(true, |(_, r)| rate > r) {
-            best_pipe = Some((workers, rate));
-        }
-        if !worker_points.is_empty() {
-            worker_points.push_str(", ");
-        }
-        worker_points.push_str(&format!(
-            "{{ \"workers\": {workers}, \"window\": {DEFAULT_WINDOW}, \
-             \"events_per_sec\": {rate:.0} }}"
-        ));
-    }
-    let mut window_points = String::new();
-    for window in [256usize, 1024, 4096] {
-        let mut ledger = Ledger::without_monitor();
-        ledger
-            .attach_pipelined_monitor_with(4, window, SearchBudget::small())
-            .expect("fresh ledger has no monitor");
-        ledger.declare_requests(&prequests);
-        let rate = run_ledger(ledger);
-        if !window_points.is_empty() {
-            window_points.push_str(", ");
-        }
-        window_points.push_str(&format!(
-            "{{ \"workers\": 4, \"window\": {window}, \"events_per_sec\": {rate:.0} }}"
-        ));
-    }
-    let (best_workers, best_rate) = best_pipe.expect("non-empty worker sweep");
-    let pipeline_json = format!(
-        "\"pipeline\": {{\n    \"trace_events\": {}, \"requests\": {}, \
-         \"record_batch\": {PIPE_BATCH}, \"verdict_every_batches\": {VERDICT_EVERY}, \
-         \"available_parallelism\": {parallelism},\n    \
-         \"single_thread_events_per_sec\": {:.0},\n    \
-         \"ingest\": {{ \"batch_ns_per_event\": {:.1}, \"per_event_ns_per_event\": {:.1}, \
-         \"batch_speedup\": {:.2} }},\n    \
-         \"workers\": [{}],\n    \
-         \"window_sweep_at_4_workers\": [{}],\n    \
-         \"best\": {{ \"workers\": {}, \"events_per_sec\": {:.0}, \
-         \"speedup_vs_single_thread\": {:.2} }}\n  }}",
-        pevents.len(),
-        pops.len(),
-        single_thread,
-        ingest_batch_ns,
-        ingest_per_event_ns,
-        ingest_speedup,
-        worker_points,
-        window_points,
-        best_workers,
-        best_rate,
-        best_rate / single_thread,
-    );
-
     let speedup = batch_mean_check_ns / inc_per_event_ns;
     let provenance = xability_bench::bench_provenance("checker");
     let json = format!(
@@ -400,11 +195,11 @@ fn emit_bench_json() {
          \"incremental\": {{ \"total_ns\": {}, \"per_event_verdict_ns\": {:.1} }},\n  \
          \"batch\": {{ \"checkpoints\": {}, \"mean_check_ns\": {:.1} }},\n  \
          \"speedup_per_event_vs_batch_recheck\": {:.1},\n  \
-         \"sharded_batch\": {{\n    \"trace_events\": {}, \"requests\": {}, \
-         \"available_parallelism\": {},\n    \
-         \"threads\": [{}],\n    \
-         \"best\": {{ \"workers\": {}, \"speedup_vs_1_worker\": {:.2} }}\n  }},\n  \
-         {}\n}}\n",
+         \"record_verdict\": {{\n    \"trace_events\": {}, \"requests\": {}, \
+         \"record_batch\": {RECORD_BATCH}, \"verdict_every_batches\": {VERDICT_EVERY},\n    \
+         \"events_per_sec\": {:.0},\n    \
+         \"ingest\": {{ \"batch_ns_per_event\": {:.1}, \"per_event_ns_per_event\": {:.1}, \
+         \"batch_speedup\": {:.2} }}\n  }}\n}}\n",
         h.len(),
         ops.len(),
         inc_total.as_nanos(),
@@ -412,19 +207,17 @@ fn emit_bench_json() {
         CHECKPOINTS,
         batch_mean_check_ns,
         speedup,
-        sh.len(),
-        sops.len(),
-        parallelism,
-        sharded_points,
-        best.0,
-        one_worker_ns / best.1 as f64,
-        pipeline_json,
+        levents.len(),
+        lops.len(),
+        events_per_sec,
+        ingest_batch_ns,
+        ingest_per_event_ns,
+        ingest_speedup,
     );
     std::fs::write("BENCH_checker.json", &json).expect("write BENCH_checker.json");
     println!(
         "bench checker: wrote BENCH_checker.json (speedup {speedup:.1}x, \
-         single-thread {single_thread:.0} events/s, pipelined best \
-         {best_rate:.0} events/s at {best_workers} workers)"
+         record+verdict {events_per_sec:.0} events/s)"
     );
     // A wall-clock ratio is machine-dependent, so a miss is a loud warning
     // rather than a panic; the JSON artifact carries the measured value.
@@ -432,17 +225,6 @@ fn emit_bench_json() {
         eprintln!(
             "WARNING: incremental checking is expected to be >=10x faster per event \
              than batch re-checks; measured only {speedup:.1}x"
-        );
-    }
-    // On a box with real parallelism the pipelined monitor should beat
-    // the single thread; on 1 core the decide workers serialize their
-    // re-ingest and the single-thread path is the headline number.
-    if parallelism >= 2 && best_rate < single_thread * 1.3 {
-        eprintln!(
-            "WARNING: pipelined checking is expected to reach >=1.3x the \
-             single-thread throughput on a {parallelism}-core box; measured \
-             {:.2}x",
-            best_rate / single_thread
         );
     }
 }

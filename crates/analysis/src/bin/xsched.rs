@@ -13,7 +13,6 @@ use std::time::Instant;
 use xability_analysis::sched::dirty::DirtyModel;
 use xability_analysis::sched::intern::{BrokenInterner, InternModel, ShadowInterner};
 use xability_analysis::sched::seglog::{BrokenLog, SeglogModel, ShadowLog};
-use xability_analysis::sched::window::{BrokenHandoff, ShadowHandoff, WindowModel};
 use xability_analysis::sched::{binomial, explore, Explored, Interleave};
 
 /// One explored model plus its wall time and expectation.
@@ -62,11 +61,6 @@ fn main() -> ExitCode {
             false,
         ),
         run(
-            "pipeline-window-handoff",
-            WindowModel::<ShadowHandoff>::standard,
-            false,
-        ),
-        run(
             "seglog-broken-missing-cow",
             SeglogModel::<BrokenLog>::standard,
             true,
@@ -74,11 +68,6 @@ fn main() -> ExitCode {
         run(
             "interner-broken-live-reader",
             InternModel::<BrokenInterner>::standard,
-            true,
-        ),
-        run(
-            "pipeline-window-broken-lifo",
-            WindowModel::<BrokenHandoff>::standard,
             true,
         ),
     ];

@@ -2,10 +2,10 @@
 //!
 //! PR 5 moved the repo's correctness story onto concurrency and
 //! determinism claims: lock-free copy-on-write seglog tails, shared
-//! interner read handles, a bit-identical sharded merge, a
-//! worker-count-independent scenario fleet. Dynamic tests exercise one
-//! schedule per run; this crate is the tooling that checks the claims
-//! *at rest*, in two engines (DESIGN.md §8):
+//! interner read handles, a worker-count-independent scenario fleet.
+//! Dynamic tests exercise one schedule per run; this crate is the
+//! tooling that checks the claims *at rest*, in two engines (DESIGN.md
+//! §8):
 //!
 //! * [`lint`] — **`xlint`**, a source-level lint driver over the
 //!   workspace's own `.rs` files (a lightweight tokenizer in [`source`];

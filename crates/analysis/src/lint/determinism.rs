@@ -4,12 +4,12 @@
 //! processes, or iterate hash collections.
 //!
 //! The repo's headline guarantees — incremental ≡ batch verdicts, the
-//! sharded check's bit-identical merge, the Fleet's worker-count-
-//! independent reports, sim replayability by seed — all reduce to "these
-//! crates are deterministic". `std::collections::HashMap` iteration order
-//! is seeded *per process* (`RandomState`), so a hash-iteration that
-//! feeds any ordered output (verdict reasons, serialized reports) is a
-//! nondeterminism leak that no single-process test can catch. Key probes
+//! Fleet's worker-count-independent reports, sim replayability by seed —
+//! all reduce to "these crates are deterministic".
+//! `std::collections::HashMap` iteration order is seeded *per process*
+//! (`RandomState`), so a hash-iteration that feeds any ordered output
+//! (verdict reasons, serialized reports) is a nondeterminism leak that
+//! no single-process test can catch. Key probes
 //! (`get`/`insert`/`contains_key`) are fine and idiomatic — only
 //! *iteration* is order-sensitive, so only iteration is flagged.
 

@@ -145,8 +145,8 @@ impl Interner {
     /// A shared read handle over the current symbol tables: O(#segments)
     /// `Arc` clones, no name or value copied. The reader resolves every
     /// symbol assigned so far and never observes later interning, so it
-    /// can be handed to other threads (worker shards, store snapshots)
-    /// while the owner keeps appending.
+    /// can be handed to other threads (store snapshots) while the owner
+    /// keeps appending.
     pub fn reader(&self) -> InternerReader {
         InternerReader {
             actions: self.actions.snapshot(),

@@ -17,8 +17,7 @@
 //! O(#segments) pointer clones. Because a [`LogView`] owns `Arc`s to its
 //! segments and never observes later appends, a view handed to another
 //! thread keeps reading a stable prefix while the owner keeps appending —
-//! the snapshot-while-appending guarantee the store and the sharded
-//! checker rely on.
+//! the snapshot-while-appending guarantee the store relies on.
 
 use std::sync::Arc;
 

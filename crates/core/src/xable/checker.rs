@@ -315,65 +315,6 @@ impl FastChecker {
     pub fn new(group_budget: SearchBudget) -> Self {
         FastChecker { group_budget }
     }
-
-    /// [`Checker::check`], with the per-group searches decided on
-    /// `workers` scoped threads (`std::thread::scope` — no extra
-    /// dependencies, no detached threads).
-    ///
-    /// Sharding per group is sound because reduction rules 18–20 never
-    /// relate events across groups (DESIGN.md §4.3): each group's search
-    /// is a pure, deterministic function of its own sub-history, so the
-    /// merge — a sequential assembly over the precomputed outcomes — is
-    /// **bit-identical** to the sequential check regardless of the worker
-    /// count or scheduling. `workers <= 1` *is* the plain sequential
-    /// check — no plan is built and no search runs eagerly.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use xability_core::xable::{Checker, FastChecker};
-    /// use xability_core::{ActionId, ActionName, Event, History, Value};
-    ///
-    /// let a = ActionId::base(ActionName::idempotent("a"));
-    /// let h: History = [
-    ///     Event::start(a.clone(), Value::from(1)),
-    ///     Event::complete(a.clone(), Value::from(5)),
-    /// ]
-    /// .into_iter()
-    /// .collect();
-    /// let ops = [(a, Value::from(1))];
-    /// let checker = FastChecker::default();
-    /// assert_eq!(
-    ///     checker.check_sharded(&h, &ops, &[], 4),
-    ///     checker.check(&h, &ops, &[]),
-    /// );
-    /// ```
-    pub fn check_sharded<H: HistoryRead + Sync + ?Sized>(
-        &self,
-        h: &H,
-        ops: &[(ActionId, Value)],
-        erasable: &[(ActionId, Value)],
-        workers: usize,
-    ) -> Verdict {
-        crate::xable::fast::check_sharded(h, self.group_budget, ops, erasable, workers)
-    }
-
-    /// [`Checker::check_requests`] (the R3 obligation), with the
-    /// per-group searches of *both* R3 attempts decided on `workers`
-    /// scoped threads in one wave. Bit-identical to the sequential
-    /// answer; see [`FastChecker::check_sharded`].
-    pub fn check_requests_sharded<H: HistoryRead + Sync + ?Sized>(
-        &self,
-        h: &H,
-        requests: &[Request],
-        workers: usize,
-    ) -> Verdict {
-        let ops: Vec<(ActionId, Value)> = requests
-            .iter()
-            .map(|r| (r.action().clone(), r.input().clone()))
-            .collect();
-        crate::xable::fast::check_requests_sharded(h, self.group_budget, &ops, workers)
-    }
 }
 
 impl Default for FastChecker {

@@ -38,9 +38,7 @@
 //! `Value` clone, no ordered-map walk.
 //!
 //! The engine is shared by two frontends: [`super::FastChecker`] partitions
-//! a complete history and decides it in one shot (optionally deciding the
-//! groups on parallel worker threads — [`super::FastChecker::check_sharded`]
-//! — which is sound because reduction never crosses groups), and
+//! a complete history and decides it in one shot, and
 //! [`super::IncrementalChecker`] maintains the partition *online* — one
 //! `Engine::observe` step per pushed event — and memoizes the per-group
 //! search outcomes in the (crate-private) `GroupCell`s so a verdict at any
@@ -252,10 +250,8 @@ fn idempotent_erase_closed_form(sub: &History, budget: SearchBudget) -> Option<E
 }
 
 /// The per-group "reduces to a failure-free execution of `(name, input)`"
-/// search — a pure function of the group's sub-history, shared verbatim by
-/// the memoizing [`GroupCell::exec`] and the sharded worker threads, so
-/// sequential and parallel checks compute identical outcomes. Protocol-
-/// shaped idempotent groups are decided by
+/// search — a pure function of the group's sub-history, memoized by
+/// [`GroupCell::exec`]. Protocol-shaped idempotent groups are decided by
 /// [`idempotent_exec_closed_form`] without expanding a single history.
 pub(crate) fn run_exec_search<H: HistoryRead + ?Sized>(
     h: &H,
@@ -313,8 +309,9 @@ pub(crate) fn run_exec_search<H: HistoryRead + ?Sized>(
     }
 }
 
-/// The per-group "reduces to `Λ`" search — like [`run_exec_search`], the
-/// single source of truth for both the memoized and the sharded paths.
+/// The per-group "reduces to `Λ`" search — like [`run_exec_search`], a
+/// pure function of the group's sub-history, memoized by
+/// [`GroupCell::erases`].
 pub(crate) fn run_erase_search<H: HistoryRead + ?Sized>(
     h: &H,
     indices: &[usize],
@@ -335,10 +332,9 @@ pub(crate) fn run_erase_search<H: HistoryRead + ?Sized>(
 /// history plus memoized per-group search outcomes.
 ///
 /// The memos use interior mutability because [`decide`] takes the engine
-/// by shared reference: a batch check fills them once, the incremental
-/// checker keeps them warm across pushes (invalidating a cell whenever its
-/// group gains an event), and the sharded batch check primes them from
-/// worker threads before the sequential assembly reads them.
+/// by shared reference: a batch check fills them once, and the
+/// incremental checker keeps them warm across pushes (invalidating a cell
+/// whenever its group gains an event).
 #[derive(Debug, Default)]
 pub(crate) struct GroupCell {
     /// Indices into the full history, ascending.
@@ -390,16 +386,6 @@ impl GroupCell {
         let outcome = run_exec_search(h, &self.indices, name, input, budget);
         *self.exec.borrow_mut() = Some(outcome.clone());
         outcome
-    }
-
-    /// Installs an exec outcome computed elsewhere (a sharded worker).
-    pub(crate) fn prime_exec(&self, outcome: ExecOutcome) {
-        *self.exec.borrow_mut() = Some(outcome);
-    }
-
-    /// Installs an erase outcome computed elsewhere (a sharded worker).
-    pub(crate) fn prime_erase(&self, outcome: EraseOutcome) {
-        *self.erase.borrow_mut() = Some(outcome);
     }
 }
 
@@ -951,8 +937,7 @@ pub(crate) fn fail_verdict(ambiguous: bool, reason: String) -> Verdict {
 ///
 /// Per-group searches go through the [`GroupCell`] memos, so a caller that
 /// keeps the cells warm (the incremental checker, the two attempts of an
-/// R3 question, or a sharded pre-pass) pays for each group search at most
-/// once.
+/// R3 question) pays for each group search at most once.
 pub(crate) fn decide<H: HistoryRead + ?Sized>(
     h: &H,
     eng: &Engine,
@@ -1144,258 +1129,6 @@ pub(crate) fn check_requests_batch<H: HistoryRead + ?Sized>(
         }),
         Err(reason) => Verdict::NotXable { reason },
     }
-}
-
-// ---------------------------------------------------------------------------
-// The sharded batch path.
-
-/// Which per-group search a sharded worker should run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum SearchKind {
-    Exec,
-    Erase,
-}
-
-/// One unit of sharded work: everything a worker needs to run one
-/// per-group search. The engine itself is not `Sync` (the memo cells use
-/// `RefCell`), but the borrowed indices/key data is — so jobs carry
-/// borrows for the duration of the scope instead of deep-cloning every
-/// group's index vector.
-#[derive(Debug, Clone, Copy)]
-struct ShardJob<'a> {
-    sym: GroupSym,
-    kind: SearchKind,
-    indices: &'a [usize],
-    /// The group's resolved key — the exec search target.
-    name: &'a ActionName,
-    input: &'a Value,
-}
-
-/// The outcome a worker hands back for one job.
-#[derive(Debug)]
-enum ShardOutcome {
-    Exec(ExecOutcome),
-    Erase(EraseOutcome),
-}
-
-/// Plans which searches `decide(h, eng, budget, ops, erasable)` could
-/// consult, as shard jobs. The plan may be a superset of what the
-/// sequential assembly actually reads (the assembly early-returns on the
-/// first failure); running the extras is harmless because every search is
-/// a pure, deterministic function of its group's sub-history.
-fn plan_searches<'a>(
-    eng: &'a Engine,
-    ops: &[(ActionId, Value)],
-    erasable: &[(ActionId, Value)],
-    jobs: &mut Vec<ShardJob<'a>>,
-    planned: &mut HashSet<(GroupSym, SearchKind)>,
-) {
-    let stamped_children = eng.stamped_children_index();
-    let mut declared_groups: HashSet<GroupSym> = HashSet::new();
-    let mut push = |sym: GroupSym, kind: SearchKind| {
-        if planned.insert((sym, kind)) {
-            let (ns, vs) = eng.key(sym);
-            jobs.push(ShardJob {
-                sym,
-                kind,
-                indices: &eng.cells[sym as usize].indices,
-                name: eng.interner().action(ns),
-                input: eng.interner().value(vs),
-            });
-        }
-    };
-    for (action, input) in ops.iter().chain(erasable.iter()) {
-        if !matches!(action, ActionId::Base(_)) {
-            continue;
-        }
-        let Some(key) = eng.lookup_key(action.base_name(), input) else {
-            continue;
-        };
-        if let Some(sym) = eng.group_with_key(key) {
-            declared_groups.insert(sym);
-        }
-        if action.is_undoable_base() {
-            if let Some(children) = stamped_children.get(&key) {
-                declared_groups.extend(children.iter().copied());
-            }
-        }
-    }
-    for (action, input) in ops {
-        if !matches!(action, ActionId::Base(_)) {
-            continue;
-        }
-        let Some(key) = eng.lookup_key(action.base_name(), input) else {
-            continue;
-        };
-        let plain = eng.group_with_key(key);
-        let stamped: &[GroupSym] = if action.is_undoable_base() {
-            stamped_children.get(&key).map(Vec::as_slice).unwrap_or(&[])
-        } else {
-            &[]
-        };
-        match (plain, stamped.is_empty()) {
-            (Some(sym), true) => push(sym, SearchKind::Exec),
-            (None, false) => {
-                let committed: Vec<GroupSym> = stamped
-                    .iter()
-                    .copied()
-                    .filter(|&sym| eng.cells[sym as usize].has_commit_completion)
-                    .collect();
-                if committed.len() == 1 {
-                    for &sym in stamped {
-                        if sym == committed[0] {
-                            push(sym, SearchKind::Exec);
-                        } else {
-                            push(sym, SearchKind::Erase);
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    for (action, input) in erasable {
-        if !matches!(action, ActionId::Base(_)) {
-            continue;
-        }
-        let Some(key) = eng.lookup_key(action.base_name(), input) else {
-            continue;
-        };
-        if let Some(sym) = eng.group_with_key(key) {
-            push(sym, SearchKind::Erase);
-        }
-        if action.is_undoable_base() {
-            if let Some(children) = stamped_children.get(&key) {
-                for &sym in children {
-                    push(sym, SearchKind::Erase);
-                }
-            }
-        }
-    }
-    for sym in 0..eng.group_count() as GroupSym {
-        if !declared_groups.contains(&sym) {
-            push(sym, SearchKind::Erase);
-        }
-    }
-}
-
-/// Runs the planned searches on `workers` (≥ 2) scoped threads and primes
-/// the engine's memo cells with the outcomes, so a subsequent [`decide`]
-/// is pure assembly. Jobs are split round-robin; since every search is a
-/// deterministic pure function, the merge is independent of scheduling and
-/// the final verdict is identical to the sequential one.
-fn run_sharded<H: HistoryRead + Sync + ?Sized>(
-    h: &H,
-    eng: &Engine,
-    budget: SearchBudget,
-    jobs: &[ShardJob<'_>],
-    workers: usize,
-) {
-    let workers = workers.min(jobs.len()).max(1);
-    let outcomes: Vec<(GroupSym, SearchKind, ShardOutcome)> = if workers <= 1 {
-        jobs.iter().map(|job| run_job(h, budget, job)).collect()
-    } else {
-        let mut results: Vec<Vec<(GroupSym, SearchKind, ShardOutcome)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                handles.push(scope.spawn(move || {
-                    jobs.iter()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(|job| run_job(h, budget, job))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for handle in handles {
-                results.push(handle.join().expect("shard worker panicked"));
-            }
-        });
-        results.into_iter().flatten().collect()
-    };
-    for (sym, kind, outcome) in outcomes {
-        let cell = &eng.cells[sym as usize];
-        match (kind, outcome) {
-            (SearchKind::Exec, ShardOutcome::Exec(o)) => cell.prime_exec(o),
-            (SearchKind::Erase, ShardOutcome::Erase(o)) => cell.prime_erase(o),
-            _ => unreachable!("job kind and outcome kind always match"),
-        }
-    }
-}
-
-fn run_job<H: HistoryRead + ?Sized>(
-    h: &H,
-    budget: SearchBudget,
-    job: &ShardJob<'_>,
-) -> (GroupSym, SearchKind, ShardOutcome) {
-    let outcome = match job.kind {
-        SearchKind::Exec => {
-            ShardOutcome::Exec(run_exec_search(h, job.indices, job.name, job.input, budget))
-        }
-        SearchKind::Erase => ShardOutcome::Erase(run_erase_search(h, job.indices, budget)),
-    };
-    (job.sym, job.kind, outcome)
-}
-
-/// The sharded batch check behind [`super::FastChecker::check_sharded`]:
-/// partition sequentially (one cheap pass), run the per-group searches on
-/// `workers` scoped threads, then assemble sequentially over the warm
-/// memos. Returns exactly what the sequential check returns; `workers <= 1`
-/// *is* the sequential check (no plan, no eager searches — the assembly's
-/// early returns skip whatever it never needs).
-pub(crate) fn check_sharded<H: HistoryRead + Sync + ?Sized>(
-    h: &H,
-    budget: SearchBudget,
-    ops: &[(ActionId, Value)],
-    erasable: &[(ActionId, Value)],
-    workers: usize,
-) -> Verdict {
-    let eng = match Engine::from_source(h) {
-        Ok(eng) => eng,
-        Err(reason) => return Verdict::NotXable { reason },
-    };
-    if workers > 1 {
-        let mut jobs = Vec::new();
-        let mut planned = HashSet::new();
-        plan_searches(&eng, ops, erasable, &mut jobs, &mut planned);
-        run_sharded(h, &eng, budget, &jobs, workers);
-    }
-    decide(h, &eng, budget, ops, erasable)
-}
-
-/// The sharded R3 check behind
-/// [`super::FastChecker::check_requests_sharded`]: the search plan is the
-/// union over both R3 attempts (full sequence; prefix with the last
-/// request erasable), so the whole question parallelizes in one wave.
-/// `workers <= 1` is the plain sequential R3 check.
-pub(crate) fn check_requests_sharded<H: HistoryRead + Sync + ?Sized>(
-    h: &H,
-    budget: SearchBudget,
-    ops: &[(ActionId, Value)],
-    workers: usize,
-) -> Verdict {
-    let eng = match Engine::from_source(h) {
-        Ok(eng) => eng,
-        Err(reason) => return Verdict::NotXable { reason },
-    };
-    if workers > 1 {
-        let mut jobs = Vec::new();
-        let mut planned = HashSet::new();
-        plan_searches(&eng, ops, &[], &mut jobs, &mut planned);
-        if let Some((last, prefix)) = ops.split_last() {
-            plan_searches(
-                &eng,
-                prefix,
-                std::slice::from_ref(last),
-                &mut jobs,
-                &mut planned,
-            );
-        }
-        run_sharded(h, &eng, budget, &jobs, workers);
-    }
-    crate::xable::checker::combine_r3_attempts(ops, |ops, erasable| {
-        decide(h, &eng, budget, ops, erasable)
-    })
 }
 
 #[cfg(test)]
@@ -1858,43 +1591,5 @@ mod tests {
         // reported as `Unknown` rather than a definite negative.)
         let v = fast().check(&h, &[], &[(u, key)]);
         assert!(!v.is_xable());
-    }
-
-    #[test]
-    fn sharded_check_matches_sequential_for_any_worker_count() {
-        let u = undo("u");
-        let b = idem("b");
-        let cancel = u.cancel().unwrap();
-        let commit = u.commit().unwrap();
-        // An x-able trace, a not-x-able one, and one undeclared tail.
-        let xable: History = [
-            s(&u, 1),
-            s(&cancel, 1),
-            cnil(&cancel),
-            s(&u, 1),
-            c(&u, 7),
-            s(&commit, 1),
-            cnil(&commit),
-            s(&b, 2),
-            c(&b, 6),
-        ]
-        .into_iter()
-        .collect();
-        let bad: History = [s(&b, 2), c(&b, 6), c(&b, 9)].into_iter().collect();
-        let undeclared: History = [s(&b, 2), c(&b, 6), s(&idem("junk"), 3), c(&idem("junk"), 3)]
-            .into_iter()
-            .collect();
-        let checker = fast();
-        for h in [&xable, &bad, &undeclared] {
-            let ops = [(u.clone(), Value::from(1)), (b.clone(), Value::from(2))];
-            let sequential = checker.check(h, &ops, &[]);
-            for workers in [1, 2, 8] {
-                assert_eq!(
-                    checker.check_sharded(h, &ops, &[], workers),
-                    sequential,
-                    "workers={workers}"
-                );
-            }
-        }
     }
 }

@@ -266,20 +266,6 @@ impl Aggregate {
     }
 }
 
-/// One partition worker's decision for a single group — an installable
-/// memo entry for [`IncrementalState::absorb_primes`]. Opaque: carries
-/// the group symbol, the group's event count when the outcomes were
-/// computed (the staleness guard), and the search outcomes themselves.
-#[derive(Debug, Clone)]
-pub struct GroupPrime {
-    sym: GroupSym,
-    /// The group's event count at compute time: absorbing is refused when
-    /// the receiving cell has grown past it.
-    upto: usize,
-    exec: Option<ExecOutcome>,
-    erase: Option<EraseOutcome>,
-}
-
 /// The storage-free core of the online checker: the symbol-keyed engine
 /// (attribution state plus per-group partition with warm memo cells), the
 /// declared request sequence, and the dirty-tracked aggregate verdict —
@@ -479,7 +465,7 @@ impl IncrementalState {
     /// [`IncrementalState::observe`], byte-identical in every later
     /// verdict (pinned by the `observe_batch` proptests).
     ///
-    /// The whole slice runs through [`Engine::observe_batch`]'s
+    /// The whole slice runs through `Engine::observe_batch`'s
     /// batch-local symbol/group memos (one hash probe per *distinct*
     /// name/input/group in the batch instead of several per event), the
     /// aggregate is borrowed once per batch instead of once per event,
@@ -509,91 +495,6 @@ impl IncrementalState {
                 }
             });
         self.consumed += events.len();
-    }
-
-    /// Decides every changed group of one symbol-mod partition and
-    /// returns the outcomes as installable [`GroupPrime`]s — the decide
-    /// half of the pipelined monitor (DESIGN.md §12).
-    ///
-    /// `exported` is the caller-owned export cursor: per-group event
-    /// counts at the previous export, grown on demand. A group is decided
-    /// when it belongs to the `shard`-of-`shards` partition (`sym % shards
-    /// == shard` — the same partition as `FastChecker::check_sharded`) and
-    /// its event count moved past the cursor. Watched groups get an exec
-    /// outcome; every changed group gets an erase outcome (a superset of
-    /// what a verdict can ask — cancelled rounds, undeclared groups, and
-    /// the abandoned-last-request fallback all erase). `h` must hold the
-    /// consumed prefix; it may extend past it (the searches gather only
-    /// the indices the groups hold, all inside the prefix).
-    pub fn export_primes<H: HistoryRead + ?Sized>(
-        &self,
-        h: &H,
-        shard: usize,
-        shards: usize,
-        exported: &mut Vec<usize>,
-    ) -> Vec<GroupPrime> {
-        debug_assert!(shards > 0 && shard < shards, "export_primes: bad shard");
-        let agg = self.agg.borrow();
-        let count = self.engine.group_count();
-        if exported.len() < count {
-            exported.resize(count, 0);
-        }
-        let mut primes = Vec::new();
-        let mut sym = shard;
-        while sym < count {
-            let cell = &self.engine.cells[sym];
-            let len = cell.indices.len();
-            if len > exported[sym] {
-                exported[sym] = len;
-                let w = agg.watchers[sym];
-                let exec = if w.plain_op.is_some() || w.stamped_op.is_some() {
-                    let (name, input) = self.engine.resolve(sym as GroupSym);
-                    Some(cell.exec(h, &name, &input, self.budget))
-                } else {
-                    None
-                };
-                let erase = Some(cell.erases(h, self.budget));
-                primes.push(GroupPrime {
-                    sym: sym as GroupSym,
-                    upto: len,
-                    exec,
-                    erase,
-                });
-            }
-            sym += shards;
-        }
-        primes
-    }
-
-    /// Installs group decisions computed by a partition worker (another
-    /// `IncrementalState` cursor over the **same stream**, with the
-    /// **same budget**) into this state's memo cells. Returns how many
-    /// primes were installed; a prime whose group gained events since it
-    /// was computed is stale and skipped — the memo is recomputed on
-    /// demand instead.
-    ///
-    /// Priming is pure cache-warming: the memoized searches are pure
-    /// functions of the group's event indices (equal counts over one
-    /// stream ⇒ equal index sets) and the budget, so verdicts after an
-    /// absorb are byte-identical to verdicts without it.
-    pub fn absorb_primes(&self, primes: &[GroupPrime]) -> usize {
-        let mut installed = 0;
-        for prime in primes {
-            let Some(cell) = self.engine.cells.get(prime.sym as usize) else {
-                continue;
-            };
-            if cell.indices.len() != prime.upto {
-                continue;
-            }
-            if let Some(exec) = &prime.exec {
-                cell.prime_exec(exec.clone());
-            }
-            if let Some(erase) = prime.erase {
-                cell.prime_erase(erase);
-            }
-            installed += 1;
-        }
-        installed
     }
 
     /// The cursor position: how many events have been consumed.

@@ -35,5 +35,5 @@ pub mod incremental;
 pub mod search;
 
 pub use checker::{Checker, FastChecker, SearchChecker, TieredChecker, Verdict, Witness};
-pub use incremental::{GroupPrime, IncrementalChecker, IncrementalState};
+pub use incremental::{IncrementalChecker, IncrementalState};
 pub use search::{is_xable_search, search_reduction, SearchBudget, SearchResult};

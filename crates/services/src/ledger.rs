@@ -22,10 +22,8 @@ use std::io;
 use std::path::Path;
 use std::rc::Rc;
 
-use xability_core::xable::{IncrementalState, SearchBudget, Verdict};
+use xability_core::xable::{IncrementalState, Verdict};
 use xability_core::{ActionName, Event, Request, Value};
-
-use crate::pipeline::{PipelinedMonitor, DEFAULT_WINDOW};
 use xability_obs::{Counter, Histogram, Obs};
 use xability_sim::SimTime;
 use xability_store::{
@@ -134,10 +132,6 @@ pub struct Ledger {
     effects: Vec<EffectRecord>,
     violations: Vec<String>,
     monitor: Option<IncrementalState>,
-    /// The opt-in pipelined monitor mode ([`Ledger::attach_pipelined_monitor`]),
-    /// mutually exclusive with `monitor`. `RefCell` because a verdict
-    /// flushes and absorbs windows behind the `&self` query API.
-    pipelined: Option<RefCell<PipelinedMonitor>>,
     spill: Option<Spill>,
     obs: LedgerObs,
 }
@@ -232,7 +226,6 @@ impl Ledger {
             effects: Vec::new(),
             violations: Vec::new(),
             monitor: None,
-            pipelined: None,
             spill: None,
             obs: LedgerObs::default(),
         }
@@ -246,9 +239,6 @@ impl Ledger {
         if let Some(monitor) = &mut self.monitor {
             monitor.attach_obs(obs);
         }
-        if let Some(pipelined) = &mut self.pipelined {
-            pipelined.get_mut().attach_obs(obs);
-        }
     }
 
     /// Records a formal event observation. When an online monitor is
@@ -260,13 +250,7 @@ impl Ledger {
         if let Some(monitor) = &mut self.monitor {
             monitor.observe(&event);
         }
-        if let Some(pipelined) = &self.pipelined {
-            pipelined.borrow_mut().observe(&event);
-        }
         self.store.push(&event);
-        if let Some(pipelined) = &self.pipelined {
-            pipelined.borrow_mut().publish(&self.store);
-        }
         let service = self.intern_service(service);
         self.meta.push(EventMeta { at, service });
         self.obs.record_ingest(at, 1);
@@ -282,13 +266,7 @@ impl Ledger {
         if let Some(monitor) = &mut self.monitor {
             monitor.observe_batch(events);
         }
-        if let Some(pipelined) = &self.pipelined {
-            pipelined.borrow_mut().observe_batch(events);
-        }
         self.store.push_batch(events);
-        if let Some(pipelined) = &self.pipelined {
-            pipelined.borrow_mut().publish(&self.store);
-        }
         let service = self.intern_service(service);
         self.meta
             .extend(events.iter().map(|_| EventMeta { at, service }));
@@ -486,7 +464,7 @@ impl Ledger {
         &mut self,
         mut monitor: IncrementalState,
     ) -> Result<(), MonitorAlreadyAttached> {
-        if self.monitor.is_some() || self.pipelined.is_some() {
+        if self.monitor.is_some() {
             return Err(MonitorAlreadyAttached);
         }
         for event in self.store.cursor_at(monitor.consumed()) {
@@ -494,57 +472,6 @@ impl Ledger {
         }
         self.monitor = Some(monitor);
         Ok(())
-    }
-
-    /// Attaches a **pipelined** online R3 monitor with `workers` decide
-    /// workers (DESIGN.md §12): the opt-in monitor mode that keeps
-    /// recording on this thread down to O(1) attribution and ships each
-    /// published snapshot window's reduction searches to a
-    /// symbol-partitioned worker pool. Verdicts remain byte-identical to
-    /// the sequential monitor's. Events already recorded are replayed
-    /// into it, like [`Ledger::attach_monitor`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorAlreadyAttached`] when the ledger already has a
-    /// monitor of either mode (including the default one [`Ledger::new`]
-    /// installs); build with [`Ledger::without_monitor`] first.
-    pub fn attach_pipelined_monitor(
-        &mut self,
-        workers: usize,
-    ) -> Result<(), MonitorAlreadyAttached> {
-        self.attach_pipelined_monitor_with(workers, DEFAULT_WINDOW, SearchBudget::small())
-    }
-
-    /// Attaches a pipelined monitor with an explicit window size and
-    /// per-group search budget (see
-    /// [`Ledger::attach_pipelined_monitor`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorAlreadyAttached`] when the ledger already has a
-    /// monitor of either mode.
-    pub fn attach_pipelined_monitor_with(
-        &mut self,
-        workers: usize,
-        window: usize,
-        budget: SearchBudget,
-    ) -> Result<(), MonitorAlreadyAttached> {
-        if self.monitor.is_some() || self.pipelined.is_some() {
-            return Err(MonitorAlreadyAttached);
-        }
-        let mut pipelined = PipelinedMonitor::with_config(workers, window, budget);
-        let replay: Vec<Event> = self.store.cursor_at(0).collect();
-        pipelined.observe_batch(&replay);
-        pipelined.publish(&self.store);
-        self.pipelined = Some(RefCell::new(pipelined));
-        Ok(())
-    }
-
-    /// The attached pipelined monitor, if the ledger runs in the
-    /// pipelined mode ([`Ledger::attach_pipelined_monitor`]).
-    pub fn pipelined_monitor(&self) -> Option<&RefCell<PipelinedMonitor>> {
-        self.pipelined.as_ref()
     }
 
     /// The attached online monitor, if any.
@@ -562,11 +489,10 @@ impl Ledger {
     /// attached. The monitor reads the prefix it has consumed through a
     /// zero-copy view — it never owns a second copy of the trace.
     pub fn monitor_verdict(&self) -> Option<Verdict> {
-        let verdict = match (&self.monitor, &self.pipelined) {
-            (Some(monitor), _) => monitor.verdict_over(&self.store.view()),
-            (None, Some(pipelined)) => pipelined.borrow_mut().verdict_over(&self.store),
-            (None, None) => return None,
-        };
+        let verdict = self
+            .monitor
+            .as_ref()
+            .map(|monitor| monitor.verdict_over(&self.store.view()))?;
         // The verdict's staleness window: ticks of history consumed since
         // the previous verdict (the anchor is the last recorded event's
         // tick — the registry itself never reads a clock).
@@ -588,34 +514,23 @@ impl Ledger {
     /// shortened sequence would silently diverge from the monitor's warm
     /// state. No-op when no monitor is attached.
     pub fn declare_requests(&mut self, submitted: &[Request]) {
-        fn extend_declared(
-            requests: &[(xability_core::ActionId, Value)],
-            submitted: &[Request],
-        ) -> usize {
-            let declared = requests.len();
-            debug_assert!(
-                declared <= submitted.len()
-                    && requests
-                        .iter()
-                        .zip(submitted)
-                        .all(|((action, input), request)| {
-                            action == request.action() && input == request.input()
-                        }),
-                "`submitted` must extend the monitor's declared request sequence"
-            );
-            declared
-        }
-        if let Some(monitor) = self.monitor.as_mut() {
-            let declared = extend_declared(monitor.requests(), submitted);
-            for request in submitted.iter().skip(declared) {
-                monitor.declare_request(request);
-            }
-        } else if let Some(pipelined) = &self.pipelined {
-            let mut pipelined = pipelined.borrow_mut();
-            let declared = extend_declared(pipelined.requests(), submitted);
-            for request in submitted.iter().skip(declared) {
-                pipelined.declare_request(request);
-            }
+        let Some(monitor) = self.monitor.as_mut() else {
+            return;
+        };
+        let declared = monitor.requests().len();
+        debug_assert!(
+            declared <= submitted.len()
+                && monitor
+                    .requests()
+                    .iter()
+                    .zip(submitted)
+                    .all(|((action, input), request)| {
+                        action == request.action() && input == request.input()
+                    }),
+            "`submitted` must extend the monitor's declared request sequence"
+        );
+        for request in submitted.iter().skip(declared) {
+            monitor.declare_request(request);
         }
     }
 

@@ -1,5 +1,4 @@
-//! The O(dirty) and parallel-determinism contracts of the refactored
-//! checker engine.
+//! The O(dirty) contract of the refactored checker engine.
 //!
 //! * The dirty-tracked aggregate behind `IncrementalChecker::verdict` must
 //!   be *invisible*: a verdict after **every** push equals the batch
@@ -11,9 +10,8 @@
 //!   re-checking every prefix from scratch is exactly the O(n²) behaviour
 //!   the aggregate removes — per-push verdicts themselves run at every
 //!   prefix).
-//! * `FastChecker::check_sharded` must return **byte-identical** verdicts
-//!   and witnesses for 1, 2, and 8 workers, equal to the sequential
-//!   checker, on x-able, not-x-able, and undecidable inputs.
+//! * Pinned x-able, not-x-able, and undecidable traces get the verdict
+//!   class they were built for.
 
 use proptest::prelude::*;
 
@@ -169,32 +167,6 @@ proptest! {
             );
         }
     }
-
-    /// The sharded batch check is byte-identical to the sequential one
-    /// for every worker count, on random protocol-shaped traces.
-    #[test]
-    fn sharded_equals_sequential_on_random_traces(
-        specs in prop::collection::vec(arb_spec(), 1..6),
-    ) {
-        let mut events: Vec<Event> = Vec::new();
-        let mut ops: Vec<(ActionId, Value)> = Vec::new();
-        for (i, spec) in specs.iter().enumerate() {
-            let (block, op) = events_for(i, spec);
-            events.extend(block);
-            ops.push(op);
-        }
-        let h = History::from_events(events);
-        let requests = requests_of(&ops);
-        let checker = FastChecker::default();
-        let sequential = checker.check_requests(&h, &requests);
-        for workers in [1usize, 2, 8] {
-            prop_assert_eq!(
-                &checker.check_requests_sharded(&h, &requests, workers),
-                &sequential,
-                "workers={}", workers
-            );
-        }
-    }
 }
 
 /// A 10k-event heavy-traffic trace with a verdict read after **every**
@@ -239,21 +211,19 @@ fn ten_thousand_event_trace_verdict_after_every_push() {
     assert!(inc.verdict().is_xable());
 }
 
-/// `check_sharded` with 1, 2, and 8 workers returns byte-identical
-/// verdicts and witnesses (asserted via full `Verdict` equality, which
-/// compares outputs, witnesses, and reason strings) on x-able,
-/// not-x-able, and undecidable traces — the determinism half of the
-/// sharding contract.
+/// The pinned traces get the verdict class they were built for: a
+/// cancelled-rounds trace is x-able, a disagreeing duplicate completion
+/// is not, and an ambiguous completion attribution is undecidable.
 #[test]
-fn sharded_verdicts_are_byte_identical_across_worker_counts() {
+fn pinned_traces_get_their_verdict_class() {
     let checker = FastChecker::default();
 
     // X-able: cancelled-round transactions (stamped groups, erase + exec
-    // searches on the worker threads).
+    // searches).
     let (h, ops) = n_requests_with_cancelled_rounds(24);
     let requests = requests_of(&ops);
-    let sequential = checker.check_requests(&h, &requests);
-    assert!(sequential.is_xable(), "{sequential}");
+    let verdict = checker.check_requests(&h, &requests);
+    assert!(verdict.is_xable(), "{verdict}");
 
     // Not-x-able: a disagreeing duplicate completion.
     let a = ActionId::base(ActionName::idempotent("put"));
@@ -266,8 +236,8 @@ fn sharded_verdicts_are_byte_identical_across_worker_counts() {
     .into_iter()
     .collect();
     let bad_ops = [(a.clone(), Value::from(1))];
-    let bad_sequential = checker.check(&bad, &bad_ops, &[]);
-    assert!(bad_sequential.is_not_xable(), "{bad_sequential}");
+    let bad_verdict = checker.check(&bad, &bad_ops, &[]);
+    assert!(bad_verdict.is_not_xable(), "{bad_verdict}");
 
     // Undecidable: ambiguous completion attribution.
     let fog: History = [
@@ -279,27 +249,9 @@ fn sharded_verdicts_are_byte_identical_across_worker_counts() {
     .into_iter()
     .collect();
     let fog_ops = [(a.clone(), Value::from(1)), (a, Value::from(2))];
-    let fog_sequential = checker.check(&fog, &fog_ops, &[]);
+    let fog_verdict = checker.check(&fog, &fog_ops, &[]);
     assert!(
-        matches!(fog_sequential, Verdict::Unknown { .. }),
-        "{fog_sequential}"
+        matches!(fog_verdict, Verdict::Unknown { .. }),
+        "{fog_verdict}"
     );
-
-    for workers in [1usize, 2, 8] {
-        assert_eq!(
-            checker.check_requests_sharded(&h, &requests, workers),
-            sequential,
-            "x-able trace, workers={workers}"
-        );
-        assert_eq!(
-            checker.check_sharded(&bad, &bad_ops, &[], workers),
-            bad_sequential,
-            "not-x-able trace, workers={workers}"
-        );
-        assert_eq!(
-            checker.check_sharded(&fog, &fog_ops, &[], workers),
-            fog_sequential,
-            "undecidable trace, workers={workers}"
-        );
-    }
 }

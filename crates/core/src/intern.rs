@@ -45,8 +45,6 @@ const SYMBOL_SEGMENT: usize = 1024;
 /// assert_eq!(a, b); // same name, same symbol
 /// let v = interner.intern_value(&Value::from(42));
 /// assert_eq!(interner.value(v), &Value::from(42));
-/// assert_eq!(interner.lookup_value(&Value::from(42)), Some(v));
-/// assert_eq!(interner.lookup_value(&Value::from(43)), None); // no insert
 /// ```
 #[derive(Debug, Clone)]
 pub struct Interner {
@@ -99,19 +97,6 @@ impl Interner {
     /// Panics if more than `u32::MAX` distinct values are interned.
     pub fn intern_value(&mut self, value: &Value) -> u32 {
         intern(&self.hasher, &mut self.values, &mut self.value_index, value)
-    }
-
-    /// The symbol of `name` if it has already been interned — a pure
-    /// lookup that never inserts (for deciders answering questions about
-    /// keys the history may never have mentioned).
-    pub fn lookup_action(&self, name: &ActionName) -> Option<u32> {
-        lookup(&self.hasher, &self.actions, &self.action_index, name)
-    }
-
-    /// The symbol of `value` if it has already been interned — a pure
-    /// lookup that never inserts.
-    pub fn lookup_value(&self, value: &Value) -> Option<u32> {
-        lookup(&self.hasher, &self.values, &self.value_index, value)
     }
 
     /// Resolves an action symbol.
@@ -254,22 +239,6 @@ fn intern<T: std::hash::Hash + Eq + Clone>(
     sym
 }
 
-/// The read-only probe behind [`Interner::lookup_action`] /
-/// [`Interner::lookup_value`].
-fn lookup<T: std::hash::Hash + Eq + Clone>(
-    hasher: &RandomState,
-    log: &AppendLog<T>,
-    index: &HashMap<u64, Vec<u32>>,
-    item: &T,
-) -> Option<u32> {
-    let hash = hasher.hash_one(item);
-    index
-        .get(&hash)?
-        .iter()
-        .copied()
-        .find(|&sym| log.get(sym as usize) == item)
-}
-
 /// Approximate heap bytes owned by a [`Value`] (not counting the inline
 /// enum itself): string contents, list/pair element storage, recursively.
 ///
@@ -329,23 +298,6 @@ mod tests {
             assert_eq!(i.value(*sym), val);
         }
         assert_eq!(i.value_count(), vals.len());
-    }
-
-    #[test]
-    fn lookup_never_inserts() {
-        let mut i = Interner::new();
-        let sym = i.intern_value(&Value::from(7));
-        assert_eq!(i.lookup_value(&Value::from(7)), Some(sym));
-        assert_eq!(i.lookup_value(&Value::from(8)), None);
-        assert_eq!(i.value_count(), 1, "lookup must not intern");
-        assert_eq!(i.lookup_action(&ActionName::idempotent("a")), None);
-        let a = i.intern_action(&ActionName::idempotent("a"));
-        assert_eq!(i.lookup_action(&ActionName::idempotent("a")), Some(a));
-        assert_eq!(
-            i.lookup_action(&ActionName::undoable("a")),
-            None,
-            "kind is part of the identity"
-        );
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!
 //! For online verification — deciding x-ability *while* a history is still
 //! being produced — see [`super::incremental::IncrementalChecker`], which
-//! maintains the fast checker's per-group state across `push`es.
+//! maintains the fast checker's per-group state across `push`es; the fast
+//! checker itself is a one-shot driver of that same state.
 //!
 //! # Examples
 //!
@@ -46,7 +47,7 @@ use crate::action::{ActionId, Request};
 use crate::failure_free::failure_free_sequence_outputs;
 use crate::history::{History, HistoryRead};
 use crate::value::Value;
-use crate::xable::fast::{decide, Engine};
+use crate::xable::incremental::IncrementalState;
 use crate::xable::search::{is_xable_search, SearchBudget, SearchResult};
 
 /// Evidence accompanying a positive verdict.
@@ -214,8 +215,9 @@ pub trait Checker {
 /// Shared R3 combination logic: try the full sequence, then the prefix
 /// with the last request erasable, and pick the more informative verdict.
 ///
-/// Factored out so the batch checkers and the incremental checker answer
-/// the R3 question identically by construction.
+/// Shared by the trait's default [`Checker::check_requests`] and the
+/// incremental aggregate (which the fast tier drives), so every tier
+/// combines the two attempts identically.
 pub(crate) fn combine_r3_attempts(
     ops: &[(ActionId, Value)],
     mut attempt: impl FnMut(&[(ActionId, Value)], &[(ActionId, Value)]) -> Verdict,
@@ -304,6 +306,9 @@ impl Checker for SearchChecker {
 /// Sound in both directions where definite; answers [`Verdict::Unknown`]
 /// when a history falls outside its class or a per-group search runs out
 /// of `group_budget`.
+///
+/// Every check drives a fresh [`IncrementalState`] one-shot, so this and
+/// the online checker are one decider.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FastChecker {
     /// Budget for each per-group reduction search.
@@ -339,35 +344,38 @@ impl Checker for FastChecker {
         self.check_source(h, ops, erasable)
     }
 
-    /// Overridden to partition once and share the per-group memo cells
-    /// between the full-sequence and last-request-abandoned attempts.
     fn check_requests(&self, h: &History, requests: &[Request]) -> Verdict {
         self.check_requests_source(h, requests)
     }
 
-    /// Overridden to run natively over the view: the partition and every
-    /// per-group search read events through [`HistoryRead`], so no owned
-    /// copy of the source is ever built.
+    /// Overridden to run natively over the view: a fresh
+    /// [`IncrementalState`] declares `ops` then `erasable`, observes the
+    /// source in one pass, and answers once — the online engine driven
+    /// one-shot, so no owned copy of the source is ever built.
     fn check_source(
         &self,
         h: &dyn HistoryRead,
         ops: &[(ActionId, Value)],
         erasable: &[(ActionId, Value)],
     ) -> Verdict {
-        match Engine::from_source(h) {
-            Ok(eng) => decide(h, &eng, self.group_budget, ops, erasable),
-            Err(reason) => Verdict::NotXable { reason },
+        let mut state = IncrementalState::with_budget(self.group_budget);
+        for (action, input) in ops.iter().chain(erasable) {
+            state.declare(action.clone(), input.clone());
         }
+        state.observe_source(h);
+        state.verdict_with_erasable_over(h, ops.len())
     }
 
-    /// Overridden to partition the view once and share the per-group memo
-    /// cells between the full-sequence and last-request-abandoned attempts.
+    /// Overridden like [`check_source`](Checker::check_source): declare the
+    /// requests, observe the view in one pass, take one R3 verdict — both
+    /// attempts share the state's per-group memo cells.
     fn check_requests_source(&self, h: &dyn HistoryRead, requests: &[Request]) -> Verdict {
-        let ops: Vec<(ActionId, Value)> = requests
-            .iter()
-            .map(|r| (r.action().clone(), r.input().clone()))
-            .collect();
-        crate::xable::fast::check_requests_batch(h, self.group_budget, &ops)
+        let mut state = IncrementalState::with_budget(self.group_budget);
+        for request in requests {
+            state.declare_request(request);
+        }
+        state.observe_source(h);
+        state.verdict_over(h)
     }
 }
 

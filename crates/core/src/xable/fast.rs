@@ -37,14 +37,13 @@
 //! therefore a hash probe and a `Vec` push — no per-event `ActionName` or
 //! `Value` clone, no ordered-map walk.
 //!
-//! The engine is shared by two frontends: [`super::FastChecker`] partitions
-//! a complete history and decides it in one shot, and
-//! [`super::IncrementalChecker`] maintains the partition *online* — one
-//! `Engine::observe` step per pushed event — and memoizes the per-group
-//! search outcomes in the (crate-private) `GroupCell`s so a verdict at any
-//! prefix re-searches only the groups that changed. Both assemble verdicts
-//! from the same per-group outcomes and the same message builders, so they
-//! agree by construction.
+//! The engine has one owner: [`super::IncrementalState`] maintains the
+//! partition *online* — one `Engine::observe` step per consumed event —
+//! and memoizes the per-group search outcomes in the (crate-private)
+//! `GroupCell`s so a verdict at any prefix re-searches only the groups
+//! that changed; it also holds the one R3 assembly. [`super::FastChecker`]
+//! drives such a state one-shot over a complete source, so the batch and
+//! online frontends share this engine and that assembly.
 //!
 //! Soundness is argued in the doc comments above each step and validated by
 //! property tests that compare this checker against the exhaustive one on
@@ -52,8 +51,7 @@
 //! `tests/incremental_props.rs`).
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
-use std::fmt;
+use std::collections::HashMap;
 
 use crate::action::{ActionId, ActionName};
 use crate::event::Event;
@@ -61,7 +59,6 @@ use crate::failure_free::failure_free_output;
 use crate::history::{History, HistoryRead};
 use crate::intern::Interner;
 use crate::value::Value;
-use crate::xable::checker::Witness;
 use crate::xable::search::{search_reduction, SearchBudget, SearchResult};
 
 /// The unified verdict type, re-exported here because this module's
@@ -331,10 +328,10 @@ pub(crate) fn run_erase_search<H: HistoryRead + ?Sized>(
 /// One `(base action, input)` group: its event indices in the underlying
 /// history plus memoized per-group search outcomes.
 ///
-/// The memos use interior mutability because [`decide`] takes the engine
-/// by shared reference: a batch check fills them once, and the
-/// incremental checker keeps them warm across pushes (invalidating a cell
-/// whenever its group gains an event).
+/// The memos use interior mutability because verdicts take the state by
+/// shared reference: the two attempts of one R3 question share them, and
+/// the incremental checker keeps them warm across pushes (invalidating a
+/// cell whenever its group gains an event).
 #[derive(Debug, Default)]
 pub(crate) struct GroupCell {
     /// Indices into the full history, ascending.
@@ -570,8 +567,8 @@ pub(crate) struct Observed {
     pub(crate) commit_completed: bool,
 }
 
-/// The symbol-keyed partition/attribution engine shared by the batch
-/// [`super::FastChecker`] and the online [`super::IncrementalChecker`]:
+/// The symbol-keyed partition/attribution engine behind
+/// [`super::IncrementalState`] (and so behind every fast-tier verdict):
 /// the interner, the dense group table, and the streaming attribution
 /// state.
 #[derive(Debug, Default)]
@@ -595,24 +592,6 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine over a complete source in one pass, or reports the
-    /// first completion without a start (a definite `NotXable` reason).
-    pub(crate) fn from_source<H: HistoryRead + ?Sized>(h: &H) -> Result<Engine, String> {
-        let mut eng = Engine::default();
-        let mut err: Option<String> = None;
-        h.scan_events(&mut |i, ev| match eng.observe(ev, i) {
-            Ok(_) => true,
-            Err(reason) => {
-                err = Some(reason);
-                false
-            }
-        });
-        match err {
-            Some(reason) => Err(reason),
-            None => Ok(eng),
-        }
-    }
-
     /// Consumes one event: one streaming attribution step, one group-cell
     /// append, one memo invalidation — amortized O(1), no name or value
     /// clone (interning clones only on first sight of a distinct symbol).
@@ -813,11 +792,6 @@ impl Engine {
         &mut self.interner
     }
 
-    /// The number of groups.
-    pub(crate) fn group_count(&self) -> usize {
-        self.cells.len()
-    }
-
     /// The key symbols of a group.
     pub(crate) fn key(&self, sym: GroupSym) -> KeySyms {
         self.keys[sym as usize]
@@ -828,14 +802,6 @@ impl Engine {
         self.group_lookup.get(&syms).copied()
     }
 
-    /// The key symbols of `(name, input)` if both are already interned —
-    /// a pure probe; an un-interned key cannot match any group.
-    pub(crate) fn lookup_key(&self, name: &ActionName, input: &Value) -> Option<KeySyms> {
-        let ns = self.interner.lookup_action(name)?;
-        let vs = self.interner.lookup_value(input)?;
-        Some((ns, vs))
-    }
-
     /// Resolves a group's key to its owned `(name, input)` (for search
     /// targets and messages — off the per-event hot path).
     pub(crate) fn resolve(&self, sym: GroupSym) -> (ActionName, Value) {
@@ -844,290 +810,6 @@ impl Engine {
             self.interner.action(ns).clone(),
             self.interner.value(vs).clone(),
         )
-    }
-
-    /// The round-stamped children of each parent key, in group-symbol
-    /// (first-seen) order — built in one pass over the group table.
-    pub(crate) fn stamped_children_index(&self) -> HashMap<KeySyms, Vec<GroupSym>> {
-        let mut index: HashMap<KeySyms, Vec<GroupSym>> = HashMap::new();
-        for (sym, parent) in self.stamped_of.iter().enumerate() {
-            if let Some(parent) = parent {
-                index.entry(*parent).or_default().push(sym as GroupSym);
-            }
-        }
-        index
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Verdict message builders, shared by the batch assembly (`decide`) and the
-// incremental aggregate so the two produce byte-identical reasons.
-
-pub(crate) fn msg_not_base(action: &ActionId) -> String {
-    format!("request action {action} is not a base action")
-}
-
-pub(crate) fn msg_duplicate(name: &ActionName, input: &Value) -> String {
-    format!("duplicate request identity {name}/{input}")
-}
-
-pub(crate) fn msg_plain_and_stamped(action: &ActionId, input: &Value) -> String {
-    format!("request ({action}, {input}) has both plain and round-stamped events")
-}
-
-pub(crate) fn msg_never_executed(action: &ActionId, input: &Value) -> String {
-    format!("request ({action}, {input}) was never executed")
-}
-
-pub(crate) fn msg_committed_rounds(action: &ActionId, input: &Value, rounds: usize) -> String {
-    format!("request ({action}, {input}) committed in {rounds} rounds (want exactly 1)")
-}
-
-pub(crate) fn msg_stuck(action: &ActionId, input: &Value) -> String {
-    format!("events of request ({action}, {input}) do not reduce to a failure-free execution")
-}
-
-pub(crate) fn msg_exec_budget(action: &ActionId, input: &Value) -> String {
-    format!("per-group search budget exceeded for request ({action}, {input})")
-}
-
-pub(crate) fn what_cancelled_round(round: &Value, action: &ActionId, input: &Value) -> String {
-    format!("cancelled round {round} of ({action}, {input})")
-}
-
-pub(crate) fn what_abandoned(action: &ActionId, input: &Value) -> String {
-    format!("abandoned request ({action}, {input})")
-}
-
-pub(crate) fn what_undeclared(name: &ActionName, input: &Value) -> String {
-    format!("undeclared request {name}/{input}")
-}
-
-pub(crate) fn msg_not_erasing(what: &dyn fmt::Display) -> String {
-    format!("{what} left events that do not erase")
-}
-
-pub(crate) fn msg_erase_budget(what: &dyn fmt::Display) -> String {
-    format!("per-group search budget exceeded erasing {what}")
-}
-
-pub(crate) const MSG_OUT_OF_ORDER: &str = "request effects occur out of submission order";
-
-/// Wraps a definite rejection into the verdict the attribution quality
-/// allows: when attribution was ambiguous, a negative verdict is
-/// unreliable (a different attribution might have succeeded), so it is
-/// downgraded to `Unknown`.
-pub(crate) fn fail_verdict(ambiguous: bool, reason: String) -> Verdict {
-    if ambiguous {
-        Verdict::Unknown {
-            reason: format!("(after ambiguous completion attribution) {reason}"),
-        }
-    } else {
-        Verdict::NotXable { reason }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The batch assembly.
-
-/// The assembly: decides x-ability of `h` — already partitioned into the
-/// engine's groups — with respect to the ordered request sequence `ops`,
-/// additionally allowing the requests in `erasable` to have left events
-/// that reduce to nothing.
-///
-/// Per-group searches go through the [`GroupCell`] memos, so a caller that
-/// keeps the cells warm (the incremental checker, the two attempts of an
-/// R3 question) pays for each group search at most once.
-pub(crate) fn decide<H: HistoryRead + ?Sized>(
-    h: &H,
-    eng: &Engine,
-    budget: SearchBudget,
-    ops: &[(ActionId, Value)],
-    erasable: &[(ActionId, Value)],
-) -> Verdict {
-    // --- Validate the op list. ---
-    let mut seen: HashSet<(&ActionName, &Value)> = HashSet::new();
-    for (action, input) in ops.iter().chain(erasable.iter()) {
-        if !matches!(action, ActionId::Base(_)) {
-            return Verdict::Unknown {
-                reason: msg_not_base(action),
-            };
-        }
-        if !seen.insert((action.base_name(), input)) {
-            return Verdict::Unknown {
-                reason: msg_duplicate(action.base_name(), input),
-            };
-        }
-    }
-
-    let fail = |reason: String| fail_verdict(eng.ambiguous, reason);
-    let stamped_children = eng.stamped_children_index();
-
-    // --- Every group must correspond to a declared request, directly or
-    // as a round-stamped transaction of a declared undoable request
-    // (§5.4: the round number is part of the action's parameters).
-    // Undeclared groups are not automatically violations: a group that
-    // reduces to Λ (say, a spurious cancellation that cancelled nothing) is
-    // invisible to the reduction target; they are checked for erasability
-    // below. ---
-    let mut declared_groups: HashSet<GroupSym> = HashSet::new();
-    for (action, input) in ops.iter().chain(erasable.iter()) {
-        let Some(key) = eng.lookup_key(action.base_name(), input) else {
-            continue;
-        };
-        if let Some(sym) = eng.group_with_key(key) {
-            declared_groups.insert(sym);
-        }
-        if action.is_undoable_base() {
-            if let Some(children) = stamped_children.get(&key) {
-                declared_groups.extend(children.iter().copied());
-            }
-        }
-    }
-
-    let erase_group = |cell: &GroupCell, what: &dyn fmt::Display| -> Option<Verdict> {
-        match cell.erases(h, budget) {
-            EraseOutcome::Erases => None,
-            EraseOutcome::Stuck => Some(fail(msg_not_erasing(what))),
-            EraseOutcome::Budget => Some(Verdict::Unknown {
-                reason: msg_erase_budget(what),
-            }),
-        }
-    };
-
-    // --- Decide each group. ---
-    let mut outputs: Vec<Value> = Vec::with_capacity(ops.len());
-    let mut anchors: Vec<usize> = Vec::with_capacity(ops.len());
-    for (action, input) in ops.iter() {
-        let key = eng.lookup_key(action.base_name(), input);
-        let plain = key.and_then(|k| eng.group_with_key(k));
-        let stamped: &[GroupSym] = if action.is_undoable_base() {
-            key.and_then(|k| stamped_children.get(&k))
-                .map(Vec::as_slice)
-                .unwrap_or(&[])
-        } else {
-            &[]
-        };
-        let exec_sym: GroupSym = match (plain, stamped.is_empty()) {
-            (Some(_), false) => {
-                return Verdict::Unknown {
-                    reason: msg_plain_and_stamped(action, input),
-                };
-            }
-            (Some(sym), true) => sym,
-            (None, true) => {
-                return fail(msg_never_executed(action, input));
-            }
-            (None, false) => {
-                // Round-stamped transactions: exactly one round commits and
-                // must reduce to a failure-free execution; every other round
-                // must erase (cancelled rounds).
-                let committed: Vec<GroupSym> = stamped
-                    .iter()
-                    .copied()
-                    .filter(|&sym| eng.cells[sym as usize].has_commit_completion)
-                    .collect();
-                if committed.len() != 1 {
-                    return fail(msg_committed_rounds(action, input, committed.len()));
-                }
-                let committed = committed[0];
-                for &sym in stamped {
-                    if sym == committed {
-                        continue;
-                    }
-                    let round = eng.interner().value(eng.key(sym).1);
-                    let what = what_cancelled_round(round, action, input);
-                    if let Some(v) = erase_group(&eng.cells[sym as usize], &what) {
-                        return v;
-                    }
-                }
-                committed
-            }
-        };
-        let (exec_name, exec_input) = eng.resolve(exec_sym);
-        match eng.cells[exec_sym as usize].exec(h, &exec_name, &exec_input, budget) {
-            ExecOutcome::Reduced { output, anchor } => {
-                outputs.push(output);
-                anchors.push(anchor);
-            }
-            ExecOutcome::Stuck => {
-                return fail(msg_stuck(action, input));
-            }
-            ExecOutcome::Budget => {
-                return Verdict::Unknown {
-                    reason: msg_exec_budget(action, input),
-                };
-            }
-        }
-    }
-
-    for (action, input) in erasable {
-        let key = eng.lookup_key(action.base_name(), input);
-        let mut all_cells: Vec<GroupSym> = Vec::new();
-        if let Some(sym) = key.and_then(|k| eng.group_with_key(k)) {
-            all_cells.push(sym);
-        }
-        if action.is_undoable_base() {
-            if let Some(children) = key.and_then(|k| stamped_children.get(&k)) {
-                all_cells.extend(children.iter().copied());
-            }
-        }
-        for sym in all_cells {
-            let what = what_abandoned(action, input);
-            if let Some(v) = erase_group(&eng.cells[sym as usize], &what) {
-                return v;
-            }
-        }
-    }
-
-    for sym in 0..eng.group_count() as GroupSym {
-        if declared_groups.contains(&sym) {
-            continue;
-        }
-        let (ns, vs) = eng.key(sym);
-        let what = what_undeclared(eng.interner().action(ns), eng.interner().value(vs));
-        if let Some(v) = erase_group(&eng.cells[sym as usize], &what) {
-            return v;
-        }
-    }
-
-    // --- Cross-request ordering: effects in submission order. ---
-    // The paper's multi-request criterion (reduction to the ordered
-    // concatenation of failure-free histories) implicitly assumes the
-    // system quiesces between requests: rules 18/20 always keep the
-    // *latest* duplicate, so a harmless trailing duplicate (a slow
-    // replica's deduplicated re-execution or help-commit landing after the
-    // next request started) would make the ordered target unreachable even
-    // though every effect happened exactly once and in order. We therefore
-    // check the per-request criterion plus *effect order*: each group's
-    // first surviving completion — the instant its side-effect became
-    // observable — must follow submission order. On histories without
-    // trailing duplicates this coincides with the strict criterion (blocks
-    // then compact in order); with them, it is the faithful reading of
-    // "appears to be executed exactly-once, in order".
-    for w in anchors.windows(2) {
-        if w[0] >= w[1] {
-            return fail(MSG_OUT_OF_ORDER.to_owned());
-        }
-    }
-
-    Verdict::Xable {
-        witness: Witness::from_outputs(outputs),
-    }
-}
-
-/// Batch entry point used by the `FastChecker` frontend: one partition,
-/// then the R3 combination over the shared memo cells.
-pub(crate) fn check_requests_batch<H: HistoryRead + ?Sized>(
-    h: &H,
-    budget: SearchBudget,
-    ops: &[(ActionId, Value)],
-) -> Verdict {
-    match Engine::from_source(h) {
-        Ok(eng) => crate::xable::checker::combine_r3_attempts(ops, |ops, erasable| {
-            decide(h, &eng, budget, ops, erasable)
-        }),
-        Err(reason) => Verdict::NotXable { reason },
     }
 }
 
@@ -1591,5 +1273,40 @@ mod tests {
         // reported as `Unknown` rather than a definite negative.)
         let v = fast().check(&h, &[], &[(u, key)]);
         assert!(!v.is_xable());
+    }
+
+    #[test]
+    fn explicit_split_checks_undeclared_groups_past_a_failing_erasable() {
+        // The first failing declared request (u/2, cancelled) lies in the
+        // erasable tail, past the one request that must execute: the
+        // undeclared completed b/9 must still be checked, and it cannot
+        // erase.
+        let a = idem("a");
+        let u = undo("u");
+        let b = idem("b");
+        let cancel = u.cancel().unwrap();
+        let h = History::from_events(vec![
+            s(&a, 1),
+            c(&a, 5),
+            s(&u, 2),
+            s(&cancel, 2),
+            cnil(&cancel),
+            s(&u, 3),
+            s(&cancel, 3),
+            cnil(&cancel),
+            s(&b, 9),
+            c(&b, 9),
+        ]);
+        let v = fast().check(
+            &h,
+            &[(a, Value::from(1))],
+            &[(u.clone(), Value::from(2)), (u, Value::from(3))],
+        );
+        assert_eq!(
+            v,
+            Verdict::NotXable {
+                reason: "undeclared request bⁱ/9 left events that do not erase".to_owned()
+            }
+        );
     }
 }

@@ -1,9 +1,7 @@
 //! Online x-ability checking: decide R3 *while* the history is being
-//! produced.
+//! produced — and, driven one-shot, after it.
 //!
-//! The batch checkers re-partition and re-search a complete history on
-//! every call — fine after a run, wasteful during one. The
-//! [`IncrementalChecker`] maintains the fast checker's state machine
+//! The [`IncrementalChecker`] maintains the fast checker's state machine
 //! online:
 //!
 //! * [`push`](IncrementalChecker::push) consumes one event in amortized
@@ -20,22 +18,25 @@
 //!   decisions, the first failing request, the set of undeclared groups
 //!   that fail to erase, and the effect-order violations between adjacent
 //!   requests) and a verdict call re-decides only the requests whose
-//!   groups were touched since the last call. In steady state — events
-//!   arriving for the newest request while earlier requests sit clean —
-//!   that is amortized O(1) bookkeeping per verdict plus the cost of
-//!   materializing the answer.
+//!   groups were touched since the last call, up to the first failing
+//!   one. In steady state — events arriving for the newest request while
+//!   earlier requests sit clean — that is amortized O(1) bookkeeping per
+//!   verdict plus the cost of materializing the answer.
 //!
-//! Because push-side attribution, per-group searches, and the verdict
-//! messages are the *same code* the batch [`super::FastChecker`] runs
-//! (the engine and message builders in [`super::fast`]), the incremental
-//! verdict at any prefix equals `FastChecker::check_requests` on that
-//! prefix **by construction**; the property tests in
-//! `tests/incremental_props.rs` and `tests/checker_scaling.rs` verify the
-//! equality prefix by prefix on random and protocol-shaped histories.
+//! This module holds the crate's only R3 assembly. [`super::FastChecker`]
+//! is a one-shot driver of [`IncrementalState`]: it declares the
+//! requests, observes the whole source in one pass, and takes one verdict.
+//! So the incremental verdict at any prefix equals
+//! `FastChecker::check_requests` on that prefix exactly when carrying the
+//! aggregate across pushes and verdicts is equivalent to building it
+//! fresh; the property tests in `tests/incremental_props.rs` and
+//! `tests/checker_scaling.rs` verify that prefix by prefix, and
+//! `tests/verdict_digest.rs` pins the one-shot answers themselves.
 //!
 //! The per-group state carried online, the dirty-set/aggregate invariant,
-//! and the reason cross-group reduction never occurs (rules 18–20 relate
-//! events of one group only) are spelled out in DESIGN.md §4.3.
+//! the lazy drain, and the reason cross-group reduction never occurs
+//! (rules 18–20 relate events of one group only) are spelled out in
+//! DESIGN.md §4.3.
 //!
 //! # Examples
 //!
@@ -56,20 +57,17 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
+use std::ops::Range;
 
 use xability_obs::{Counter, Histogram, Obs};
 
-use crate::action::{ActionId, Request};
+use crate::action::{ActionId, ActionName, Request};
 use crate::event::Event;
 use crate::history::{History, HistoryRead};
 use crate::value::Value;
 use crate::xable::checker::{combine_r3_attempts, Verdict, Witness};
-use crate::xable::fast::{
-    fail_verdict, msg_committed_rounds, msg_duplicate, msg_erase_budget, msg_exec_budget,
-    msg_never_executed, msg_not_base, msg_not_erasing, msg_plain_and_stamped, msg_stuck,
-    what_abandoned, what_cancelled_round, what_undeclared, Engine, EraseOutcome, ExecOutcome,
-    GroupSym, KeySyms, MSG_OUT_OF_ORDER,
-};
+use crate::xable::fast::{Engine, EraseOutcome, ExecOutcome, GroupSym, KeySyms, Observed};
 use crate::xable::search::SearchBudget;
 
 /// Which declared requests read a group's decision — the fan-out of one
@@ -125,7 +123,7 @@ impl OpState {
 }
 
 /// Why a request's decision is not `Ok` — enough to regenerate the exact
-/// message the batch assembly would produce.
+/// reason string.
 #[derive(Debug, Clone, Copy)]
 enum OpFail {
     NeverExecuted,
@@ -153,16 +151,18 @@ enum EraseFail {
 /// The maintained aggregate behind O(dirty) verdicts. The invariant — the
 /// reason a verdict may skip every clean request — is:
 ///
-/// > For every request not in `dirty_ops`, `entries[op].state` equals what
-/// > the batch assembly would compute for that request on the current
-/// > prefix; for every group not in `dirty_undeclared` that no request
-/// > watches, `undeclared_fail` records exactly whether (and how) its
-/// > erase search fails; and `order_bad` holds exactly the adjacent
-/// > request pairs whose effect anchors are out of submission order.
+/// > For every request not in `dirty_ops`, `entries[op].state` (and its
+/// > `failing_ops` membership) equals a from-scratch decision of that
+/// > request on the current prefix; for every group not in
+/// > `dirty_undeclared` that no request watches, `undeclared_fail`
+/// > records exactly whether (and how) its erase search fails; and for
+/// > every adjacent pair of clean requests, `order_bad` holds the pair
+/// > exactly when their effect anchors are out of submission order.
 ///
 /// Pushing an event touches one group and therefore dirties at most two
 /// requests (its plain watcher and its stamped watcher) or one undeclared
-/// group; a verdict drains the dirty sets and re-decides only those.
+/// group; a verdict drains the dirty sets up to the first failing request
+/// and re-decides only those (see `IncrementalState::refresh`).
 #[derive(Debug, Default)]
 struct Aggregate {
     /// Per-request interned key (`None` for a non-base declared action).
@@ -181,7 +181,7 @@ struct Aggregate {
     /// sequence.
     entries: Vec<OpEntry>,
     /// Sticky first declaration-validation failure (non-base action or
-    /// duplicate identity) — mirrors the batch op-list validation.
+    /// duplicate identity), in declaration order.
     declare_invalid: Option<String>,
     /// Per-group watcher fan-out, index-aligned with the engine's groups.
     watchers: Vec<Watchers>,
@@ -189,11 +189,11 @@ struct Aggregate {
     dirty_ops: BTreeSet<usize>,
     /// Unwatched groups that changed since the last verdict.
     dirty_undeclared: BTreeSet<GroupSym>,
-    /// Unwatched groups currently failing to erase (ascending symbol order
-    /// = the batch assembly's iteration order).
+    /// Unwatched groups currently failing to erase (ascending symbol
+    /// order: the first-seen failing group is the one reported).
     undeclared_fail: BTreeMap<GroupSym, EraseFail>,
-    /// Requests whose state is `Bad` (ascending = first failure wins, as
-    /// in the batch per-request loop).
+    /// Requests whose state is `Bad` (ascending = first failure wins);
+    /// exact below the first dirty request.
     failing_ops: BTreeSet<usize>,
     /// Indices `i ≥ 1` where both anchors are defined and
     /// `anchor[i-1] >= anchor[i]`.
@@ -203,10 +203,10 @@ struct Aggregate {
 impl Aggregate {
     /// Records what one observed event did to the partition. The record
     /// is self-contained (key and stamped parent ride along), so tracking
-    /// borrows nothing from the engine — which is what lets the batch
-    /// path stream records out of `Engine::observe_batch` while the
-    /// engine is mutably borrowed.
-    fn track(&mut self, obs: crate::xable::fast::Observed) {
+    /// borrows nothing from the engine — which is what lets
+    /// `observe_batch` stream records out of `Engine::observe_batch` while
+    /// the engine is mutably borrowed.
+    fn track(&mut self, obs: Observed) {
         let sym = obs.group;
         if obs.created {
             let mut w = Watchers::default();
@@ -312,9 +312,9 @@ pub struct IncrementalState {
     /// Cursor position: how many events of the underlying stream have
     /// been consumed.
     consumed: usize,
-    /// Interior mutability: a verdict drains the dirty sets and refreshes
-    /// the cached per-request decisions, which is logically a cache fill
-    /// behind the `&self` query API.
+    /// Interior mutability: a verdict drains (part of) the dirty sets and
+    /// refreshes the cached per-request decisions, which is logically a
+    /// cache fill behind the `&self` query API.
     agg: RefCell<Aggregate>,
     obs: CheckerObs,
 }
@@ -323,19 +323,24 @@ pub struct IncrementalState {
 /// bound to a shared registry by [`IncrementalState::attach_obs`]. All
 /// handles are atomics, so recording works through the `&self` verdict
 /// path.
+///
+/// A refresh drains the dirty sets only up to the first failing request,
+/// so the dirty-set sizes it records may include entries carried over
+/// from earlier refreshes — a request left dirty behind a failing one, or
+/// undeclared groups no attempt could reach — and count them again.
 #[derive(Debug, Default)]
 struct CheckerObs {
-    /// Dirty undeclared-group set size at each refresh.
+    /// Dirty undeclared-group set size at the start of each refresh.
     dirty_undeclared: Histogram,
-    /// Dirty request set size at each refresh.
+    /// Dirty request set size at the start of each refresh.
     dirty_ops: Histogram,
     /// Refresh passes (one per verdict/decision query).
     refreshes: Counter,
     /// Verdict assemblies.
     verdicts: Counter,
     /// Fast-tier budget exhaustions while erasing undeclared groups — each
-    /// is a question the fast tier gave up on (the answer a batch caller
-    /// would escalate to the search tier).
+    /// is a question the fast tier gave up on (the answer a one-shot
+    /// caller would escalate to the search tier).
     erase_budget_escalations: Counter,
     /// Per-request decisions lost to a search-budget exhaustion (exec or
     /// cancelled-round erase).
@@ -475,7 +480,7 @@ impl IncrementalState {
     pub fn observe_batch(&mut self, events: &[Event]) {
         let agg = self.agg.get_mut();
         let orphan = &mut self.orphan;
-        let mut last_group: Option<crate::xable::fast::GroupSym> = None;
+        let mut last_group: Option<GroupSym> = None;
         self.engine
             .observe_batch(events, self.consumed, &mut |result| match result {
                 Ok(obs) => {
@@ -497,6 +502,15 @@ impl IncrementalState {
         self.consumed += events.len();
     }
 
+    /// Consumes every event of `h` in one pass — how the one-shot
+    /// `FastChecker` frontends feed a complete source to a fresh state.
+    pub(crate) fn observe_source<H: HistoryRead + ?Sized>(&mut self, h: &H) {
+        h.scan_events(&mut |_, event| {
+            self.observe(event);
+            true
+        });
+    }
+
     /// The cursor position: how many events have been consumed.
     pub fn consumed(&self) -> usize {
         self.consumed
@@ -512,11 +526,15 @@ impl IncrementalState {
         &self.requests
     }
 
-    /// Drains the dirty sets: re-runs the erase check of each touched
-    /// undeclared group and the decision of each touched request, all
-    /// through the warm memo cells. O(dirty), independent of the total
+    /// Drains the dirty sets up to the first failing request: re-decides
+    /// the touched requests in ascending order through the warm memo
+    /// cells, stopping once a clean failing request precedes every dirty
+    /// one (no attempt reads past it), and re-runs the erase check of each
+    /// touched undeclared group only when some attempt can reach the
+    /// undeclared loop — when none of the `min_ops` requests that every
+    /// attempt must execute fails. O(dirty), independent of the total
     /// group count.
-    fn refresh<H: HistoryRead + ?Sized>(&self, h: &H) {
+    fn refresh<H: HistoryRead + ?Sized>(&self, h: &H, min_ops: usize) {
         let mut agg = self.agg.borrow_mut();
         let agg = &mut *agg;
         self.obs.refreshes.inc();
@@ -524,21 +542,11 @@ impl IncrementalState {
             .dirty_undeclared
             .record(agg.dirty_undeclared.len() as u64);
         self.obs.dirty_ops.record(agg.dirty_ops.len() as u64);
-        while let Some(sym) = agg.dirty_undeclared.pop_first() {
-            match self.engine.cells[sym as usize].erases(h, self.budget) {
-                EraseOutcome::Erases => {
-                    agg.undeclared_fail.remove(&sym);
-                }
-                EraseOutcome::Stuck => {
-                    agg.undeclared_fail.insert(sym, EraseFail::Stuck);
-                }
-                EraseOutcome::Budget => {
-                    self.obs.erase_budget_escalations.inc();
-                    agg.undeclared_fail.insert(sym, EraseFail::Budget);
-                }
+        while let Some(&op) = agg.dirty_ops.first() {
+            if agg.failing_ops.first().is_some_and(|&bad| bad < op) {
+                break;
             }
-        }
-        while let Some(op) = agg.dirty_ops.pop_first() {
+            agg.dirty_ops.pop_first();
             let state = self.compute_op_state(&agg.entries[op], h);
             if matches!(
                 state,
@@ -555,10 +563,31 @@ impl IncrementalState {
             }
             agg.refresh_order_pairs(op);
         }
+        // Every request below the first failure is now clean, so an
+        // attempt gets past its per-request loop only if it needs at most
+        // that failure's index of requests — none does when the failure
+        // lies below `min_ops`.
+        if agg.failing_ops.first().is_some_and(|&bad| bad < min_ops) {
+            return;
+        }
+        while let Some(sym) = agg.dirty_undeclared.pop_first() {
+            match self.engine.cells[sym as usize].erases(h, self.budget) {
+                EraseOutcome::Erases => {
+                    agg.undeclared_fail.remove(&sym);
+                }
+                EraseOutcome::Stuck => {
+                    agg.undeclared_fail.insert(sym, EraseFail::Stuck);
+                }
+                EraseOutcome::Budget => {
+                    self.obs.erase_budget_escalations.inc();
+                    agg.undeclared_fail.insert(sym, EraseFail::Budget);
+                }
+            }
+        }
     }
 
-    /// One request's decision — the same case analysis, in the same
-    /// order, as the batch assembly's per-request loop.
+    /// One request's decision: plain/stamped shape, committed rounds,
+    /// cancelled rounds erasing, then the executing group's search.
     fn compute_op_state<H: HistoryRead + ?Sized>(&self, entry: &OpEntry, h: &H) -> OpState {
         let exec_sym = match (entry.plain, entry.stamped.is_empty()) {
             (Some(_), false) => return OpState::Bad(OpFail::PlainAndStamped),
@@ -602,8 +631,7 @@ impl IncrementalState {
         }
     }
 
-    /// Materializes the exact batch-assembly message for a failing
-    /// request.
+    /// Materializes the verdict for a failing request.
     fn op_fail_verdict(&self, agg: &Aggregate, op: usize) -> Verdict {
         let (action, input) = &self.requests[op];
         let fail = |reason: String| fail_verdict(self.engine.ambiguous, reason);
@@ -635,18 +663,18 @@ impl IncrementalState {
         }
     }
 
-    /// Assembles one R3 attempt from the aggregate: the first `ops_len`
-    /// requests must execute, and — for the second attempt —
-    /// `erasable_last`'s groups must erase instead. Mirrors the batch
-    /// assembly's evaluation order exactly: op-list validation, the
-    /// per-request loop (first failure wins), the erasable loop, the
-    /// undeclared loop, the effect-order check.
+    /// Assembles one attempt from the aggregate: the first `ops_len`
+    /// declared requests must execute, in order, and the `erasable`
+    /// requests' groups must erase instead. The evaluation order is the
+    /// verdict's contract (it picks which reason is reported): op-list
+    /// validation, the per-request loop (first failure wins), the
+    /// erasable loop, the undeclared loop, the effect-order check.
     fn assemble<H: HistoryRead + ?Sized>(
         &self,
         agg: &Aggregate,
         h: &H,
         ops_len: usize,
-        erasable_last: Option<usize>,
+        erasable: Range<usize>,
     ) -> Verdict {
         if let Some(reason) = &agg.declare_invalid {
             return Verdict::Unknown {
@@ -657,9 +685,9 @@ impl IncrementalState {
         if let Some(&op) = agg.failing_ops.range(..ops_len).next() {
             return self.op_fail_verdict(agg, op);
         }
-        if let Some(last) = erasable_last {
-            let (action, input) = &self.requests[last];
-            let entry = &agg.entries[last];
+        for op in erasable {
+            let (action, input) = &self.requests[op];
+            let entry = &agg.entries[op];
             let what = what_abandoned(action, input);
             for sym in entry.plain.iter().chain(entry.stamped.iter()).copied() {
                 match self.engine.cells[sym as usize].erases(h, self.budget) {
@@ -710,10 +738,42 @@ impl IncrementalState {
     /// built with — but computed in O(groups touched since the last
     /// verdict) instead of O(all groups).
     pub fn verdict_over<H: HistoryRead + ?Sized>(&self, h: &H) -> Verdict {
+        let n = self.requests.len();
+        self.answer(h, n.saturating_sub(1), |agg| {
+            combine_r3_attempts(&self.requests, |ops, erasable| {
+                self.assemble(agg, h, ops.len(), ops.len()..ops.len() + erasable.len())
+            })
+        })
+    }
+
+    /// The verdict for an explicit question over the consumed prefix held
+    /// by `h`: the first `ops_len` declared requests must execute in
+    /// order, and every later one must have left events that erase — no
+    /// R3 last-request fallback. This is how `FastChecker::check` decides
+    /// an `(ops, erasable)` pair: it declares `ops` then `erasable`.
+    pub(crate) fn verdict_with_erasable_over<H: HistoryRead + ?Sized>(
+        &self,
+        h: &H,
+        ops_len: usize,
+    ) -> Verdict {
+        self.answer(h, ops_len, |agg| {
+            self.assemble(agg, h, ops_len, ops_len..self.requests.len())
+        })
+    }
+
+    /// The frame shared by both questions: an orphan completion decides
+    /// everything; otherwise refresh the aggregate for attempts needing at
+    /// least `min_ops` executed requests and assemble from it.
+    fn answer<H: HistoryRead + ?Sized>(
+        &self,
+        h: &H,
+        min_ops: usize,
+        assemble: impl FnOnce(&Aggregate) -> Verdict,
+    ) -> Verdict {
         debug_assert_eq!(
             h.len(),
             self.consumed,
-            "verdict_over: the source must hold exactly the consumed prefix"
+            "the source must hold exactly the consumed prefix"
         );
         if let Some(reason) = &self.orphan {
             return Verdict::NotXable {
@@ -721,39 +781,8 @@ impl IncrementalState {
             };
         }
         self.obs.verdicts.inc();
-        self.refresh(h);
-        let agg = self.agg.borrow();
-        combine_r3_attempts(&self.requests, |ops, erasable| {
-            if erasable.is_empty() {
-                self.assemble(&agg, h, ops.len(), None)
-            } else {
-                self.assemble(&agg, h, ops.len(), Some(ops.len()))
-            }
-        })
-    }
-
-    /// The verdict for an explicit `(ops, erasable)` question over the
-    /// consumed prefix held by `h`, bypassing the declared sequence and
-    /// the R3 last-request fallback (and the maintained aggregate — an
-    /// ad-hoc question runs the batch assembly over the warm memo cells).
-    /// Equals `FastChecker::new(budget).check` on that prefix.
-    pub fn verdict_for_over<H: HistoryRead + ?Sized>(
-        &self,
-        h: &H,
-        ops: &[(ActionId, Value)],
-        erasable: &[(ActionId, Value)],
-    ) -> Verdict {
-        debug_assert_eq!(
-            h.len(),
-            self.consumed,
-            "verdict_for_over: the source must hold exactly the consumed prefix"
-        );
-        if let Some(reason) = &self.orphan {
-            return Verdict::NotXable {
-                reason: reason.clone(),
-            };
-        }
-        crate::xable::fast::decide(h, &self.engine, self.budget, ops, erasable)
+        self.refresh(h, min_ops);
+        assemble(&self.agg.borrow())
     }
 }
 
@@ -851,17 +880,72 @@ impl IncrementalChecker {
     pub fn verdict(&self) -> Verdict {
         self.state.verdict_over(&self.history)
     }
+}
 
-    /// The verdict for an explicit `(ops, erasable)` question over the
-    /// current prefix, bypassing the declared sequence and the R3
-    /// last-request fallback. Equals `FastChecker::new(budget).check` on
-    /// the prefix, for the budget this checker was built with.
-    pub fn verdict_for(
-        &self,
-        ops: &[(ActionId, Value)],
-        erasable: &[(ActionId, Value)],
-    ) -> Verdict {
-        self.state.verdict_for_over(&self.history, ops, erasable)
+// ---------------------------------------------------------------------------
+// Verdict message builders: the reason strings are part of the verdict.
+
+fn msg_not_base(action: &ActionId) -> String {
+    format!("request action {action} is not a base action")
+}
+
+fn msg_duplicate(name: &ActionName, input: &Value) -> String {
+    format!("duplicate request identity {name}/{input}")
+}
+
+fn msg_plain_and_stamped(action: &ActionId, input: &Value) -> String {
+    format!("request ({action}, {input}) has both plain and round-stamped events")
+}
+
+fn msg_never_executed(action: &ActionId, input: &Value) -> String {
+    format!("request ({action}, {input}) was never executed")
+}
+
+fn msg_committed_rounds(action: &ActionId, input: &Value, rounds: usize) -> String {
+    format!("request ({action}, {input}) committed in {rounds} rounds (want exactly 1)")
+}
+
+fn msg_stuck(action: &ActionId, input: &Value) -> String {
+    format!("events of request ({action}, {input}) do not reduce to a failure-free execution")
+}
+
+fn msg_exec_budget(action: &ActionId, input: &Value) -> String {
+    format!("per-group search budget exceeded for request ({action}, {input})")
+}
+
+fn what_cancelled_round(round: &Value, action: &ActionId, input: &Value) -> String {
+    format!("cancelled round {round} of ({action}, {input})")
+}
+
+fn what_abandoned(action: &ActionId, input: &Value) -> String {
+    format!("abandoned request ({action}, {input})")
+}
+
+fn what_undeclared(name: &ActionName, input: &Value) -> String {
+    format!("undeclared request {name}/{input}")
+}
+
+fn msg_not_erasing(what: &dyn fmt::Display) -> String {
+    format!("{what} left events that do not erase")
+}
+
+fn msg_erase_budget(what: &dyn fmt::Display) -> String {
+    format!("per-group search budget exceeded erasing {what}")
+}
+
+const MSG_OUT_OF_ORDER: &str = "request effects occur out of submission order";
+
+/// Wraps a definite rejection into the verdict the attribution quality
+/// allows: when attribution was ambiguous, a negative verdict is
+/// unreliable (a different attribution might have succeeded), so it is
+/// downgraded to `Unknown`.
+fn fail_verdict(ambiguous: bool, reason: String) -> Verdict {
+    if ambiguous {
+        Verdict::Unknown {
+            reason: format!("(after ambiguous completion attribution) {reason}"),
+        }
+    } else {
+        Verdict::NotXable { reason }
     }
 }
 
@@ -891,7 +975,8 @@ mod tests {
         Event::complete(a.clone(), Value::Nil)
     }
 
-    /// Batch verdict over the checker's own prefix, for agreement checks.
+    /// A fresh one-shot `FastChecker` verdict over the checker's own
+    /// prefix, for agreement checks.
     fn batch(inc: &IncrementalChecker) -> Verdict {
         let requests: Vec<Request> = inc
             .requests()
@@ -914,19 +999,18 @@ mod tests {
         let ops = [(a.clone(), Value::from(1))];
         let mut inc = IncrementalChecker::new();
         inc.declare(a.clone(), Value::from(1));
+        let strict =
+            |inc: &IncrementalChecker| FastChecker::default().check(inc.history(), &ops, &[]);
         // Strictly (no abandonment fallback), an unexecuted request is not
         // x-able; under R3 the last request may always be abandoned.
-        assert!(!inc.verdict_for(&ops, &[]).is_xable());
+        assert!(!strict(&inc).is_xable());
         assert!(
             inc.verdict().is_xable(),
             "R3 allows an unsubmitted last request"
         );
 
         inc.push(s(&a, 1));
-        assert!(
-            !inc.verdict_for(&ops, &[]).is_xable(),
-            "started, not completed"
-        );
+        assert!(!strict(&inc).is_xable(), "started, not completed");
 
         inc.push(s(&a, 1));
         inc.push(c(&a, 5));
@@ -1042,18 +1126,6 @@ mod tests {
     }
 
     #[test]
-    fn verdict_for_matches_fast_check() {
-        let a = idem("a");
-        let mut inc = IncrementalChecker::new();
-        inc.push_all([s(&a, 1), c(&a, 5)]);
-        let ops = [(a, Value::from(1))];
-        assert_eq!(
-            inc.verdict_for(&ops, &[]),
-            FastChecker::default().check(inc.history(), &ops, &[])
-        );
-    }
-
-    #[test]
     fn storage_free_state_agrees_with_owned_checker() {
         // An IncrementalState observing the same stream as an owned
         // IncrementalChecker, with the events living in one shared
@@ -1087,8 +1159,8 @@ mod tests {
         let ops = [(b.clone(), Value::from(2))];
         let erasable = [(u.clone(), Value::from(1))];
         assert_eq!(
-            state.verdict_for_over(&shared, &ops, &erasable),
-            owned.verdict_for(&ops, &erasable)
+            FastChecker::default().check_source(&shared, &ops, &erasable),
+            FastChecker::default().check(owned.history(), &ops, &erasable)
         );
     }
 
@@ -1150,5 +1222,42 @@ mod tests {
         inc.push(c(&b, 6));
         assert!(inc.verdict().is_xable());
         assert_eq!(inc.verdict(), batch(&inc));
+    }
+
+    #[test]
+    fn failing_request_leaves_later_requests_dirty() {
+        // Whitebox: while request 0 fails, a verdict stops at it — events
+        // for request 1 and for an undeclared group stay dirty across the
+        // verdict — and once request 0 recovers, the drained verdict equals
+        // a fresh one-shot check.
+        let a = idem("a");
+        let b = idem("b");
+        let x = undo("x");
+        let cancel = x.cancel().unwrap();
+        let mut inc = IncrementalChecker::new();
+        inc.declare(a.clone(), Value::from(1));
+        inc.declare(b.clone(), Value::from(2));
+        // A retry of `a` that has not completed yet: a stuck group.
+        inc.push_all([s(&a, 1), c(&a, 5), s(&a, 1)]);
+        inc.push_all([s(&b, 2), c(&b, 6)]);
+        inc.push_all([
+            s(&x, 9),
+            Event::start(cancel.clone(), Value::from(9)),
+            cnil(&cancel),
+        ]);
+        let v = inc.verdict();
+        assert!(v.is_not_xable(), "{v}");
+        assert_eq!(v, batch(&inc));
+        {
+            let agg = inc.state.agg.borrow();
+            assert_eq!(agg.dirty_ops.iter().copied().collect::<Vec<_>>(), vec![1]);
+            assert_eq!(agg.dirty_undeclared.len(), 1, "undeclared x is not drained");
+        }
+        inc.push(c(&a, 5));
+        let v = inc.verdict();
+        assert!(v.is_xable(), "{v}");
+        assert_eq!(v, batch(&inc));
+        let agg = inc.state.agg.borrow();
+        assert!(agg.dirty_ops.is_empty() && agg.dirty_undeclared.is_empty());
     }
 }

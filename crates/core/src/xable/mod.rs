@@ -20,14 +20,19 @@
 //! * [`TieredChecker`] — the fast→search escalation policy callers used to
 //!   hand-roll, with per-tier budgets.
 //! * [`IncrementalChecker`] — the online decider: `push(event)` in
-//!   amortized O(1), a verdict at any prefix, agreeing with
-//!   [`FastChecker`] by construction (it runs the same engine with its
-//!   per-group state maintained across pushes). Its storage-free core,
+//!   amortized O(1), a verdict at any prefix. Its storage-free core,
 //!   [`IncrementalState`], is a cursor over an event stream owned by
 //!   someone else (a shared trace store), for monitoring without a
 //!   second copy of the trace.
 //!
-//! The submodules [`search`] and [`fast`] hold the respective engines.
+//! There is one fast-tier decider: [`IncrementalState`] holds the only R3
+//! assembly, and [`FastChecker`] drives a fresh state one-shot (declare,
+//! observe the source in one pass, one verdict) — so online and batch
+//! verdicts come from the same assembly, and the property tests hold them
+//! equal at every prefix.
+//!
+//! The submodules [`search`] and [`fast`] hold the search and the
+//! partition/attribution engines; [`incremental`] holds the assembly.
 
 pub mod checker;
 pub mod fast;
